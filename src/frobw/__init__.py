@@ -4,15 +4,13 @@ toric Fano varieties."""
 
 __version__ = "0.1.0"
 
-from .ffkernel import PrimeField, Monomial, PolynomialFp, MatrixFp
+from .ffkernel import PrimeField, PolynomialFp
 from .splitting import GradedHypersurface, SplittingProfile, FanoReport
 from .toric import FanData, RationalPolytope, ToricAlphaReport
 
 __all__ = [
     "PrimeField",
-    "Monomial",
     "PolynomialFp",
-    "MatrixFp",
     "GradedHypersurface",
     "SplittingProfile",
     "FanoReport",

@@ -4,23 +4,22 @@ over F_p.
 
 Monomials are exponent tuples.  The total order everywhere is graded
 colexicographic: compare total degree first, then the exponent vectors by
-their last differing coordinate.  Within one degree, rank/unrank cost O(v)
-per monomial via hockey-stick binomial sums, so matrix columns can be
-array-indexed.
+their last differing coordinate.
+
+Polynomial products run on encoded keys: each exponent vector becomes one
+int64 in a mixed radix wide enough that adding two keys adds the exponent
+vectors without a carry, so the outer sum of two key arrays lists every
+product monomial, and equal keys are merged by sorting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Iterator
+from math import comb, prod
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InstanceTooLarge, ValidationError
-
-#: largest monomial count we are willing to index
-MAX_INDEX = 2 ** 62
 
 #: default cap on term counts of computed powers
 DEFAULT_POWER_TERM_CAP = 10 ** 7
@@ -44,18 +43,6 @@ class PrimeField:
             d += 1
         self.p = p
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -74,27 +61,6 @@ class PrimeField:
 
 # ---------------------------------------------------------------------------
 # monomials and the graded colex order
-
-@dataclass(frozen=True)
-class Monomial:
-    """An exponent vector with its total degree cached."""
-
-    exponents: tuple[int, ...]
-    degree: int
-
-    @staticmethod
-    def of(exponents: Iterable[int]) -> "Monomial":
-        exps = tuple(int(a) for a in exponents)
-        if any(a < 0 for a in exps):
-            raise ValidationError(f"negative exponent in monomial {exps}")
-        return Monomial(exps, sum(exps))
-
-    def colex_key(self) -> tuple:
-        return (self.degree, tuple(reversed(self.exponents)))
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.colex_key() < other.colex_key()
-
 
 def n_monomials(v: int, m: int) -> int:
     """Number of monomials of degree m in v variables: C(m+v-1, v-1)."""
@@ -148,54 +114,6 @@ def exponent_array(v: int, m: int, cap: int | None = None) -> np.ndarray:
     return vecs[neg_deg == -m]
 
 
-def monomial_rank(exps: tuple[int, ...]) -> int:
-    """Index of an exponent tuple within its degree block, in colex order."""
-    v = len(exps)
-    m = sum(exps)
-    rank = 0
-    for j in range(v - 1, 0, -1):
-        a = exps[j]
-        # monomials whose coordinate j is strictly smaller come first
-        rank += n_monomials(j + 1, m) - n_monomials(j + 1, m - a)
-        m -= a
-    return rank
-
-
-def monomial_unrank(v: int, m: int, index: int) -> tuple[int, ...]:
-    """Inverse of monomial_rank on the degree-m block."""
-    if not 0 <= index < n_monomials(v, m):
-        raise ValidationError(
-            f"monomial index {index} out of range for v={v}, m={m}")
-    exps = [0] * v
-    for j in range(v - 1, 0, -1):
-        # greedy: find the largest a with the preceding block not past index
-        a = 0
-        base = 0
-        while True:
-            nxt = n_monomials(j + 1, m) - n_monomials(j + 1, m - (a + 1))
-            if nxt <= index:
-                a += 1
-            else:
-                break
-        base = n_monomials(j + 1, m) - n_monomials(j + 1, m - a)
-        exps[j] = a
-        index -= base
-        m -= a
-    exps[0] = m
-    return tuple(exps)
-
-
-def monomials_of_degree(v: int, m: int) -> list[Monomial]:
-    """All degree-m monomials in v variables, in graded-colex order."""
-    if v < 1 or m < 0:
-        raise ValidationError(f"need v >= 1 and m >= 0, got v={v}, m={m}")
-    if n_monomials(v, m) > MAX_INDEX:
-        raise InstanceTooLarge(
-            f"instance too large: {v} variables at degree {m} index past "
-            f"the platform width")
-    return [Monomial(e, m) for e in iter_degree(v, m)]
-
-
 # ---------------------------------------------------------------------------
 # sparse polynomials
 
@@ -218,6 +136,8 @@ class PolynomialFp:
             if len(exps) != nvars:
                 raise ValidationError(
                     f"term {exps} has {len(exps)} exponents, expected {nvars}")
+            if nvars and min(exps) < 0:
+                raise ValidationError(f"negative exponent in term {exps}")
             clean[tuple(int(a) for a in exps)] = c
         self.terms = clean
 
@@ -254,9 +174,6 @@ class PolynomialFp:
         exps = max(self.terms, key=lambda e: (sum(e), tuple(reversed(e))))
         return exps, self.terms[exps]
 
-    def monomials(self) -> list[Monomial]:
-        return sorted(Monomial(e, sum(e)) for e in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def add(self, other: "PolynomialFp") -> "PolynomialFp":
@@ -272,35 +189,33 @@ class PolynomialFp:
 
     def mul(self, other: "PolynomialFp") -> "PolynomialFp":
         self._check_compatible(other)
-        p = self.field.p
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = (out.get(e, 0) + c1 * c2) % p
-        return PolynomialFp(self.field, self.nvars, out)
+        radix = [a + b + 1 for a, b in zip(self._max_exponents(),
+                                           other._max_exponents())]
+        places = _place_values(radix)
+        keys, coeffs = _mul_keys(*self._encode(places), *other._encode(places),
+                                 self.field.p)
+        return self._decode(keys, coeffs, radix, places)
 
     def pow(self, n: int, term_cap: int = DEFAULT_POWER_TERM_CAP) -> "PolynomialFp":
-        """Binary powering with a cap on intermediate term counts."""
+        """Binary powering on encoded keys.  A power that could have more
+        than term_cap terms is refused before the first product."""
         if n < 0:
             raise ValidationError("negative power")
-        result = PolynomialFp(self.field, self.nvars, {(0,) * self.nvars: 1})
-        base = self
+        _check_term_bound(power_term_bound(self, n), n, term_cap)
+        # every intermediate power G^k, k <= n, has exponents at most n
+        # times those of G, so one radix serves the whole ladder
+        radix = [n * a + 1 for a in self._max_exponents()]
+        places = _place_values(radix)
+        p = self.field.p
+        base_k, base_c = self._encode(places)
+        keys, coeffs = np.zeros(1, np.int64), np.ones(1, np.int64)
         while n:
             if n & 1:
-                result = result.mul(base)
-                if len(result) > term_cap:
-                    raise InstanceTooLarge(
-                        f"power too large: {len(result)} terms exceeds cap "
-                        f"{term_cap}")
+                keys, coeffs = _mul_keys(keys, coeffs, base_k, base_c, p)
             n >>= 1
             if n:
-                base = base.mul(base)
-                if len(base) > term_cap:
-                    raise InstanceTooLarge(
-                        f"power too large: {len(base)} terms exceeds cap "
-                        f"{term_cap}")
-        return result
+                base_k, base_c = _mul_keys(base_k, base_c, base_k, base_c, p)
+        return self._decode(keys, coeffs, radix, places)
 
     def frobenius(self, i: int) -> "PolynomialFp":
         """Apply the i-th Frobenius: multiply every exponent by p^i.
@@ -312,6 +227,25 @@ class PolynomialFp:
                             {tuple(a * q for a in e): c
                              for e, c in self.terms.items()})
 
+    def _max_exponents(self) -> list[int]:
+        if not self.terms:
+            return [0] * self.nvars
+        return [max(col) for col in zip(*self.terms)]
+
+    def _encode(self, places: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The terms as int64 (key, coefficient) arrays."""
+        n = len(self.terms)
+        exps = np.array(list(self.terms), dtype=np.int64).reshape(n, self.nvars)
+        return (exps @ places,
+                np.fromiter(self.terms.values(), dtype=np.int64, count=n))
+
+    def _decode(self, keys: np.ndarray, coeffs: np.ndarray,
+                radix: list[int], places: np.ndarray) -> "PolynomialFp":
+        exps = keys[:, None] // places % np.array(radix, dtype=np.int64)
+        return PolynomialFp(self.field, self.nvars,
+                            dict(zip(map(tuple, exps.tolist()),
+                                     coeffs.tolist())))
+
     def _check_compatible(self, other: "PolynomialFp") -> None:
         if other.field != self.field or other.nvars != self.nvars:
             raise ValidationError("polynomials live in different rings")
@@ -321,25 +255,106 @@ class PolynomialFp:
                 f"terms={len(self.terms)})")
 
 
+#: outer-sum cells of a polynomial product formed at once
+_MUL_CHUNK = 1 << 16
+
+
+def _place_values(radix: list[int]) -> np.ndarray:
+    """Place values of the mixed radix in which coordinate i of an exponent
+    vector is a digit below radix[i].  Refuses radices whose keys would not
+    fit int64."""
+    if prod(radix) >= 2 ** 63:
+        raise InstanceTooLarge(
+            f"instance too large: exponent vectors up to "
+            f"{[r - 1 for r in radix]} do not encode in 63 bits")
+    return np.cumprod([1] + radix, dtype=np.int64)[:-1]
+
+
+def _mul_keys(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray,
+              p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The product of two polynomials given as (key, coefficient) arrays in
+    one mixed radix, as sorted distinct keys with nonzero coefficients.
+
+    The outer sums of the keys and the products of the coefficients mod p
+    are formed _MUL_CHUNK cells at a time and merged into the running sum.
+    Chunks are batched until they hold as many cells as the running sum, so
+    a product with few collisions is not re-sorted once per chunk.  Every
+    value stays exact in int64: coefficients are below p < 2^31.
+    """
+    if ka.size == 0 or kb.size == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    if ka.size > kb.size:
+        ka, ca, kb, cb = kb, cb, ka, ca
+    step = max(1, _MUL_CHUNK // kb.size)
+    keys, coeffs = np.zeros(0, np.int64), np.zeros(0, np.int64)
+    batch_k, batch_c, pending = [], [], 0
+    for i in range(0, ka.size, step):
+        batch_k.append((ka[i:i + step, None] + kb).ravel())
+        batch_c.append((ca[i:i + step, None] * cb).ravel() % p)
+        pending += batch_k[-1].size
+        if pending >= keys.size or i + step >= ka.size:
+            keys, coeffs = _merge_terms([keys, *batch_k], [coeffs, *batch_c],
+                                        p)
+            batch_k, batch_c, pending = [], [], 0
+    return keys, coeffs
+
+
+def _merge_terms(keys: list[np.ndarray], coeffs: list[np.ndarray],
+                 p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the coefficients of equal keys mod p and drop the zero sums."""
+    k = np.concatenate(keys)
+    order = np.argsort(k, kind="stable")
+    k = k[order]
+    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    sums = np.add.reduceat(np.concatenate(coeffs)[order], starts) % p
+    keep = sums != 0
+    return k[starts[keep]], sums[keep]
+
+
+def power_term_bound(G: PolynomialFp, n: int) -> int:
+    """An upper bound on the number of terms of G^n, known before computing
+    it: the monomials of degree n in the t terms of G and, for homogeneous
+    G, the monomials of degree n * deg G in its variables."""
+    t = len(G)
+    if t == 0:
+        return int(n == 0)
+    bound = comb(n + t - 1, t - 1)
+    delta = G.homogeneous_degree
+    if delta is not None:
+        bound = min(bound, n_monomials(G.nvars, n * delta))
+    return bound
+
+
+def _check_term_bound(bound: int, n: int, term_cap: int) -> None:
+    if bound > term_cap:
+        raise InstanceTooLarge(
+            f"power too large: G^{n} may have up to {bound} terms, over the "
+            f"cap {term_cap}")
+
+
 def digit_power(G: PolynomialFp, e: int,
                 term_cap: int = DEFAULT_POWER_TERM_CAP) -> PolynomialFp:
     """G^(p^e - 1) via the Frobenius-digit factorization
     prod_{i=0}^{e-1} Frob^i(G^(p-1)).
 
     The identity uses p^e - 1 = sum_i (p-1) p^i and Frob^i(h) = h^(p^i) on
-    prime-field coefficients.
+    prime-field coefficients.  The partial products are G^(p^k - 1) for
+    k <= e, so their term counts are bounded by both the bound for
+    G^(p^e - 1) and the e-th power of the bound for G^(p-1); the smaller one
+    is checked against term_cap before any product.
     """
     if G.is_zero():
         raise ValidationError("digit_power of the zero polynomial")
     if e < 1:
         raise ValidationError(f"level must be >= 1, got {e}")
-    base = G.pow(G.field.p - 1, term_cap=term_cap)
+    p = G.field.p
+    _check_term_bound(min(power_term_bound(G, p - 1) ** e,
+                          power_term_bound(G, p ** e - 1)),
+                      p ** e - 1, term_cap)
+    base = G.pow(p - 1, term_cap=term_cap)
     result = base
     for i in range(1, e):
         result = result.mul(base.frobenius(i))
-        if len(result) > term_cap:
-            raise InstanceTooLarge(
-                f"power too large: {len(result)} terms exceeds cap {term_cap}")
     return result
 
 
@@ -554,64 +569,3 @@ def kernel_fp_dense(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     for j, fc in enumerate(free_cols):
         K[fc, j] = 1
     return r, K
-
-
-# ---------------------------------------------------------------------------
-# sparse matrix wrapper
-
-class MatrixFp:
-    """Sparse column-major matrix over F_p.
-
-    Columns are stored as (row-index array, value array) pairs with all
-    values nonzero and reduced mod p.
-    """
-
-    def __init__(self, rows: int, cols: int, p: int,
-                 columns: list[tuple[np.ndarray, np.ndarray]] | None = None):
-        PrimeField(p)  # validates primality
-        self.rows = rows
-        self.cols = cols
-        self.p = p
-        if columns is None:
-            columns = [(np.zeros(0, dtype=np.int64),
-                        np.zeros(0, dtype=np.int64)) for _ in range(cols)]
-        if len(columns) != cols:
-            raise ValidationError(
-                f"matrix has {len(columns)} stored columns, expected {cols}")
-        self.columns = []
-        for idx, vals in columns:
-            idx = np.asarray(idx, dtype=np.int64)
-            vals = np.asarray(vals, dtype=np.int64) % p
-            keep = vals != 0
-            idx, vals = idx[keep], vals[keep]
-            if idx.size and (idx.min() < 0 or idx.max() >= rows):
-                raise ValidationError("row index out of range")
-            self.columns.append((idx, vals))
-
-    @staticmethod
-    def from_dense(A, p: int) -> "MatrixFp":
-        A = np.asarray(A, dtype=np.int64) % p
-        rows, cols = A.shape
-        columns = []
-        for j in range(cols):
-            idx = np.nonzero(A[:, j])[0]
-            columns.append((idx, A[idx, j]))
-        return MatrixFp(rows, cols, p, columns)
-
-    def to_dense(self) -> np.ndarray:
-        if self.rows * self.cols > 5 * 10 ** 8:
-            raise InstanceTooLarge(
-                f"instance too large: densifying {self.rows} x {self.cols}")
-        A = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for j, (idx, vals) in enumerate(self.columns):
-            A[idx, j] = vals
-        return A
-
-    def transpose(self) -> "MatrixFp":
-        return MatrixFp.from_dense(self.to_dense().T, self.p)
-
-
-def rank_mod_p(M: MatrixFp) -> int:
-    """F_p-rank of a MatrixFp.  Deterministic Gaussian elimination with
-    partial pivoting (modular pivot inverses, blocked updates)."""
-    return rank_fp_dense(M.to_dense(), M.p)

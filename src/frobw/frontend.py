@@ -1,8 +1,9 @@
 """Polynomial and fan parsers, report serialization, and the CLI.
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 validation failure
-(including instances over the size caps), 4 internal-check failure (always
-a bug; the message carries the falsifying datum).
+(including instances over the size caps), 4 internal-check failure or any
+other unexpected exception (always a bug; the message carries the
+falsifying datum or the exception).
 """
 
 from __future__ import annotations
@@ -572,6 +573,10 @@ def run_cli(argv: Sequence[str],
     except ValidationError as ex:
         print(f"validation error: {ex}", file=sys.stderr)
         return 3
+    except Exception as ex:  # the CLI boundary: no traceback escapes
+        print(f"unexpected error (this is a bug): "
+              f"{type(ex).__name__}: {ex}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

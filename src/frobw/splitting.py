@@ -30,6 +30,7 @@ certified.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -98,7 +99,7 @@ class GradedHypersurface:
         self._gq_cache: dict[int, PolynomialFp] = {}
         self._gq_arrays_cache: dict[int, tuple] = {}
         self._term_masks_cache: dict[int, np.ndarray] = {}
-        self._shapes_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._layout_cache: dict[tuple[int, int], _Layout] = {}
         self._b_cache: dict[tuple[int, int], int] = {}
 
     def dim_S(self, m: int) -> int:
@@ -246,40 +247,46 @@ def _dense_ranks(codes: np.ndarray) -> tuple[int, np.ndarray]:
     return distinct.size, ranks.reshape(-1)
 
 
-def _block_shapes(ring: GradedHypersurface, e: int,
-                  m: int) -> list[tuple[int, int]]:
-    """(row bound, columns) of each block of Phi_{e,m}, in the order of
-    _column_blocks.  Counted from the monomials; Phi is not built.  The row
-    bound counts every reduced target monomial of the block's class."""
+class _Layout(NamedTuple):
+    """The columns of Phi_{e,m} and how they split into blocks: the
+    restricted basis of degree m and, for each block, its (row bound,
+    column count) and the indices of its columns into the basis.  Counted
+    from the monomials; Phi is not built.  The row bound counts every
+    reduced target monomial of the block's class."""
+
+    basis: np.ndarray
+    shapes: list[tuple[int, int]]
+    columns: list[np.ndarray]
+
+
+def _layout(ring: GradedHypersurface, e: int, m: int) -> _Layout:
+    """The layout of Phi_{e,m}, computed once per (e, m): the basis and its
+    class labels serve both the work estimate and the rank."""
     key = (e, m)
-    if key not in ring._shapes_cache:
+    if key not in ring._layout_cache:
         q = ring.field.p ** e
-        cols = ring.dim_R(m)
+        basis = ring.restricted_basis(m)
+        cols = basis.shape[0]
         rows = n_monomials_capped(ring.v, m + ring.delta * (q - 1), q - 1)
         if ring._lattice is None or rows == 0 or cols == 0:
-            shapes = [(rows, cols)]
+            layout = _Layout(basis, [(rows, cols)], [np.arange(cols)])
         else:
             targets = (exponent_array(ring.v, m + ring.delta * (q - 1), q - 1)
                        - (q - 1) * ring._w0)
-            labels = _class_labels(
-                ring, np.concatenate([ring.restricted_basis(m), targets]))
+            labels = _class_labels(ring, np.concatenate([basis, targets]))
             ncls = int(labels.max()) + 1
-            per_col = np.bincount(labels[:cols], minlength=ncls)
+            col_labels = labels[:cols]
+            per_col = np.bincount(col_labels, minlength=ncls)
             per_row = np.bincount(labels[cols:], minlength=ncls)
-            shapes = [(int(r), int(c)) for r, c in zip(per_row, per_col) if c]
-        ring._shapes_cache[key] = shapes
-    return ring._shapes_cache[key]
-
-
-def _column_blocks(ring: GradedHypersurface,
-                   basis: np.ndarray) -> list[np.ndarray]:
-    """Indices into `basis` of the columns of each block."""
-    if ring._lattice is None or basis.shape[0] == 0:
-        return [np.arange(basis.shape[0])]
-    labels = _class_labels(ring, basis)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(labels.max() + 2))
-    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+            order = np.argsort(col_labels, kind="stable")
+            bounds = np.concatenate(([0], np.cumsum(per_col)))
+            live = np.flatnonzero(per_col)
+            layout = _Layout(
+                basis,
+                [(int(per_row[c]), int(per_col[c])) for c in live],
+                [order[bounds[c]:bounds[c + 1]] for c in live])
+        ring._layout_cache[key] = layout
+    return ring._layout_cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +394,7 @@ def _check_caps(ring: GradedHypersurface, e: int, m: int,
             f"side cap {MAX_MATRIX_SIDE}")
     cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
     split = ring._lattice is not None
-    shapes = _block_shapes(ring, e, m)
+    shapes = _layout(ring, e, m).shapes
     est = sum(_estimate_flops(r, c, split) for r, c in shapes)
     if est > cap:
         r, c = max(shapes, key=lambda s: _estimate_flops(*s, split))
@@ -411,17 +418,17 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
     _check_caps(ring, e, m, work_cap)
     b = _rank_phi(ring, e, m)
     ring._b_cache[key] = b
+    ring._layout_cache.pop(key, None)  # the cached rank replaces it
     return b
 
 
 def _rank_phi(ring: GradedHypersurface, e: int, m: int) -> int:
-    basis = ring.restricted_basis(m)
+    layout = _layout(ring, e, m)
     total = 0
-    for (rows, cols), idx in zip(_block_shapes(ring, e, m),
-                                 _column_blocks(ring, basis)):
+    for (rows, cols), idx in zip(layout.shapes, layout.columns):
         if rows == 0 or cols == 0:
             continue
-        blk = _build_block(ring, e, basis[idx])
+        blk = _build_block(ring, e, layout.basis[idx])
         if blk.shape[0] > rows or idx.size != cols:
             raise InternalCheckError(
                 f"block bookkeeping at e={e}, m={m}: built {blk.shape[0]} x "
@@ -764,7 +771,7 @@ def fano_report(ring: GradedHypersurface, e_max: int,
     min_upper = min(uppers)
     d = ring.v - 2
     volume = ring.delta * s ** (ring.v - 2)
-    bound = Fraction(volume, 2 ** d * _factorial(d + 1))
+    bound = Fraction(volume, 2 ** d * math.factorial(d + 1))
     return FanoReport(
         coindex=s,
         profiles=profiles,
@@ -778,10 +785,3 @@ def fano_report(ring: GradedHypersurface, e_max: int,
         volume=volume,
         bound=bound,
     )
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out

@@ -8,34 +8,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobw.errors import ValidationError
+import frobw.ffkernel as ffkernel
+from frobw.errors import InstanceTooLarge, ValidationError
 from frobw.ffkernel import (
-    MatrixFp,
-    Monomial,
     PolynomialFp,
     PrimeField,
     digit_power,
     exponent_array,
     iter_degree,
     kernel_fp_dense,
-    monomial_rank,
-    monomial_unrank,
-    monomials_of_degree,
     n_monomials,
     n_monomials_capped,
+    power_term_bound,
     rank_fp_dense,
-    rank_mod_p,
 )
+from frobw.oracle import _naive_multiply
 
 
 class TestPrimeField:
     def test_basic_arithmetic(self):
         F = PrimeField(7)
-        assert F.add(5, 4) == 2
-        assert F.sub(2, 5) == 4
-        assert F.mul(3, 5) == 1
         assert F.inv(3) == 5
-        assert F.normalize(-1) == 6
+        assert F.inv(-1) == 6
+        assert F == PrimeField(7) and F != PrimeField(5)
 
     def test_rejects_composite(self):
         with pytest.raises(ValidationError):
@@ -51,7 +46,7 @@ class TestPrimeField:
     def test_inverses(self, p):
         F = PrimeField(p)
         for a in list(range(1, min(p, 50))) + [p - 1]:
-            assert F.mul(a, F.inv(a)) == 1
+            assert a * F.inv(a) % p == 1
 
 
 class TestMonomials:
@@ -61,12 +56,6 @@ class TestMonomials:
         assert len(mons) == n_monomials(v, m)
         assert mons == sorted(mons, key=lambda e: tuple(reversed(e)))
         assert all(sum(e) == m for e in mons)
-
-    @pytest.mark.parametrize("v,m", [(1, 5), (2, 4), (3, 6), (4, 5), (5, 3)])
-    def test_rank_unrank_roundtrip(self, v, m):
-        for i, e in enumerate(iter_degree(v, m)):
-            assert monomial_rank(e) == i
-            assert monomial_unrank(v, m, i) == e
 
     @pytest.mark.parametrize("v,m,cap",
                              [(3, 7, 2), (4, 6, 3), (2, 9, 5), (5, 8, 4),
@@ -88,17 +77,17 @@ class TestMonomials:
     def test_capped_count_zero_when_impossible(self):
         assert n_monomials_capped(3, 10, 2) == 0  # 3*2 < 10
 
-    def test_monomial_ordering_type(self):
-        ms = monomials_of_degree(3, 2)
-        assert ms == sorted(ms)
-        assert isinstance(ms[0], Monomial)
-
 
 class TestPolynomialFp:
     def test_normalization_drops_zero_coeffs(self):
         F = PrimeField(5)
         f = PolynomialFp(F, 2, {(1, 0): 5, (0, 1): 3})
         assert f.terms == {(0, 1): 3}
+
+    def test_rejects_negative_exponent(self):
+        # the product kernel encodes exponents as nonnegative digits
+        with pytest.raises(ValidationError, match="negative exponent"):
+            PolynomialFp(PrimeField(5), 2, {(1, -1): 1})
 
     def test_homogeneous_degree(self):
         F = PrimeField(5)
@@ -155,6 +144,153 @@ class TestDigitPower:
         assert digit_power(G, e) == G.pow(p ** e - 1)
 
 
+def _naive_power(terms, n, nvars, p):
+    out = {(0,) * nvars: 1}
+    for _ in range(n):
+        out = _naive_multiply(out, terms, p)
+    return out
+
+
+@st.composite
+def _polynomials(draw, p, nvars, max_terms=5, max_exp=3):
+    """Sparse, usually inhomogeneous polynomials; for large p the
+    coefficients lean to p - 1 so that products come near 2^62."""
+    coeff = st.one_of(st.integers(1, p - 1), st.just(p - 1))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * nvars), coeff,
+        max_size=max_terms))
+    return PolynomialFp(PrimeField(p), nvars, terms)
+
+
+_PRIMES = st.sampled_from([2, 3, 5, 2 ** 31 - 1])
+
+
+class TestMultiplyAgainstOracle:
+    """The encoded-key kernel against the dict double loop of
+    oracle._naive_multiply, which shares no code with it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mul(self, data):
+        p = data.draw(_PRIMES)
+        nvars = data.draw(st.integers(1, 5))
+        f = data.draw(_polynomials(p, nvars))
+        g = data.draw(_polynomials(p, nvars))
+        assert f.mul(g).terms == _naive_multiply(f.terms, g.terms, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_pow(self, data):
+        p = data.draw(_PRIMES)
+        nvars = data.draw(st.integers(1, 5))
+        f = data.draw(_polynomials(p, nvars, max_terms=4, max_exp=2))
+        n = data.draw(st.integers(0, 6))
+        assert f.pow(n).terms == _naive_power(f.terms, n, nvars, p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_digit_power(self, data):
+        p, e = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2),
+                                          (5, 1)]))
+        nvars = data.draw(st.integers(1, 3))
+        G = data.draw(_polynomials(p, nvars, max_terms=3, max_exp=2))
+        if G.is_zero():
+            return
+        assert digit_power(G, e).terms == _naive_power(G.terms, p ** e - 1,
+                                                       nvars, p)
+
+    def test_cancellation(self):
+        F = PrimeField(7)
+        f = PolynomialFp(F, 2, {(1, 0): 1, (0, 1): 3})
+        g = PolynomialFp(F, 2, {(1, 0): 1, (0, 1): -3})
+        assert f.mul(g).terms == {(2, 0): 1, (0, 2): 5}
+        assert f.pow(7).terms == {(7, 0): 1, (0, 7): 3}
+        h = PolynomialFp(F, 2, {(1, 0): 1, (0, 1): 1})
+        assert f.mul(h.scale(0)).is_zero()
+
+    def test_largest_prime_coefficients(self):
+        p = 2 ** 31 - 1
+        F = PrimeField(p)
+        f = PolynomialFp(F, 1, {(0,): p - 1, (1,): p - 1})
+        # (-1 - x)^2 = 1 + 2x + x^2
+        assert f.mul(f).terms == {(0,): 1, (1,): 2, (2,): 1}
+        G = PolynomialFp(F, 2, {(1, 1): p - 2})
+        assert digit_power(G, 1).terms == {(p - 1, p - 1): 1}
+
+    def test_exponent_box_at_int64_limit(self):
+        F = PrimeField(5)
+        x = PolynomialFp(F, 1, {(2 ** 61,): 1})
+        assert x.mul(x).terms == {(2 ** 62,): 1}
+        assert x.pow(2).terms == {(2 ** 62,): 1}
+        y = PolynomialFp(F, 1, {(2 ** 62 - 1,): 1})
+        with pytest.raises(InstanceTooLarge, match="63 bits"):
+            PolynomialFp(F, 1, {(2 ** 62,): 1}).mul(y)
+        with pytest.raises(InstanceTooLarge, match="63 bits"):
+            x.pow(4)
+        a = 2 ** 20 - 1
+        cube = PolynomialFp(F, 3, {(a, a, a): 1})
+        # radix 2a + 1 per coordinate, (2^21 - 1)^3 < 2^63
+        assert cube.mul(cube).terms == {(2 * a, 2 * a, 2 * a): 1}
+        with pytest.raises(InstanceTooLarge, match="63 bits"):
+            cube.pow(3)
+
+
+class TestPowerBound:
+    def conic(self, p):
+        return PolynomialFp(PrimeField(p), 3,
+                            {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+
+    def spy(self, monkeypatch):
+        calls = []
+        kernel = ffkernel._mul_keys
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+        monkeypatch.setattr(ffkernel, "_mul_keys", counted)
+        return calls
+
+    def test_bound_is_exact_on_the_diagonal_conic(self):
+        G = self.conic(101)
+        for n in (1, 2, 7, 50, 100):
+            assert power_term_bound(G, n) == n_monomials(3, n) \
+                == len(G.pow(n))
+
+    def test_inhomogeneous_bound(self):
+        F = PrimeField(5)
+        f = PolynomialFp(F, 2, {(1, 0): 1, (0, 0): 1})
+        assert power_term_bound(f, 4) == 5
+        assert power_term_bound(PolynomialFp(F, 2, {}), 3) == 0
+
+    def test_pow_boundary(self, monkeypatch):
+        G = self.conic(101)
+        calls = self.spy(monkeypatch)
+        assert len(G.pow(10, term_cap=66)) == 66
+        assert calls
+        calls.clear()
+        with pytest.raises(InstanceTooLarge, match="up to 78 terms"):
+            G.pow(11, term_cap=77)
+        assert not calls
+
+    def test_digit_power_boundary(self, monkeypatch):
+        # G^(p^e - 1) at p=3, e=2: the bound for G^8 is 45, the square of
+        # the bound for G^2 is 36, and the power has exactly 36 terms
+        G = self.conic(3)
+        calls = self.spy(monkeypatch)
+        assert len(digit_power(G, 2, term_cap=36)) == 36
+        assert calls
+        calls.clear()
+        with pytest.raises(InstanceTooLarge, match="up to 36 terms"):
+            digit_power(G, 2, term_cap=35)
+        assert not calls
+
+    def test_large_prime_refused_at_once(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        with pytest.raises(InstanceTooLarge, match="power too large"):
+            digit_power(self.conic(1000003), 1)
+        assert not calls
+
+
 def _naive_rank(A, p):
     A = A.astype(np.int64) % p
     r = 0
@@ -197,6 +333,13 @@ class TestRankEngine:
             assert (rank_fp_dense(A.astype(np.float64), p)
                     == rank_fp_dense(A.T.astype(np.float64), p))
 
+    def test_identity_and_zero(self):
+        assert rank_fp_dense(np.eye(5), 7) == 5
+        assert rank_fp_dense(np.zeros((3, 4)), 5) == 0
+
+    def test_rank_deficient(self):
+        assert rank_fp_dense(np.array([[1.0, 2.0], [2.0, 4.0]]), 5) == 1
+
     def test_blocked_path_large(self):
         # large enough to cross several recursion levels
         p = 5
@@ -206,19 +349,3 @@ class TestRankEngine:
         A = ((B @ C) % p).astype(np.float64)
         assert rank_fp_dense(A, p) == 180
 
-
-class TestMatrixFp:
-    def test_identity_and_zero(self):
-        assert rank_mod_p(MatrixFp.from_dense(np.eye(5), 7)) == 5
-        assert rank_mod_p(MatrixFp(3, 4, 5)) == 0
-
-    def test_rank_deficient(self):
-        assert rank_mod_p(MatrixFp.from_dense(np.array([[1, 2], [2, 4]]),
-                                              5)) == 1
-
-    def test_dense_roundtrip_and_transpose(self):
-        npr = np.random.RandomState(3)
-        A = npr.randint(0, 7, (6, 9))
-        M = MatrixFp.from_dense(A, 7)
-        assert (M.to_dense() == A).all()
-        assert (M.transpose().to_dense() == A.T).all()

@@ -3,9 +3,11 @@
 import io
 import json
 import random
+import time
 
 import pytest
 
+import frobw.frontend as frontend
 from frobw.errors import ParseError
 from frobw.frontend import (
     Report,
@@ -236,6 +238,21 @@ class TestExitCodes:
         fan.write_text(json.dumps({"dim": 2, "rays": [[2, 0], [0, 1]],
                                    "cones": [[0, 1]]}))
         assert self.run(["toric-alpha", "--fan", str(fan)]) == 3
+
+    def test_oversized_power_refused_fast(self):
+        t0 = time.monotonic()
+        assert self.run(["split", "--p", "1000003",
+                         "--poly", "x0^2+x1^2+x2^2"]) == 3
+        assert time.monotonic() - t0 < 5
+
+    def test_unexpected_exception_exit_code(self, monkeypatch, capsys):
+        def broken(args, stream):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(frontend, "_cmd_split", broken)
+        assert self.run(["split", "--p", "5", "--poly", CUBIC]) == 4
+        err = capsys.readouterr().err
+        assert "unexpected error (this is a bug)" in err and "boom" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_threads_env(self, monkeypatch):
         monkeypatch.setenv("FROBW_THREADS", "2")

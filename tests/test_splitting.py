@@ -133,10 +133,26 @@ class TestBDimension:
                                 (0, 0, 0, 2): 1})
         ring = GradedHypersurface(F, ("x0", "x1", "x2", "x3"), G)
         M = (3 ** e - 1) * ring.fano_coindex
-        assert max(len(splitting._block_shapes(ring, e, m))
+        assert max(len(splitting._layout(ring, e, m).shapes)
                    for m in range(M + 1)) > 1
         assert [b_dimension(ring, e, m) for m in range(M + 1)] \
             == [naive_b_dimension(ring, e, m) for m in range(M + 1)]
+
+    def test_basis_built_once_per_rank(self, monkeypatch):
+        F = PrimeField(3)
+        G = PolynomialFp(F, 4, {(2, 0, 0, 0): 1, (0, 1, 1, 0): 1,
+                                (0, 0, 0, 2): 1})
+        ring = GradedHypersurface(F, ("x0", "x1", "x2", "x3"), G)
+        degrees = []
+        basis = GradedHypersurface.restricted_basis
+
+        def counted(self, m):
+            degrees.append(m)
+            return basis(self, m)
+        monkeypatch.setattr(GradedHypersurface, "restricted_basis", counted)
+        pr = profile(ring, 2)
+        assert sorted(degrees) == list(range(pr.M_e + 1))
+        assert not ring._layout_cache  # each layout is dropped with its rank
 
     def test_bad_arguments(self, cubic_p5):
         with pytest.raises(ValidationError):

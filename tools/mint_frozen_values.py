@@ -2,7 +2,8 @@
 
 Every value is produced by a naive/independent code path (the oracle module,
 a relaxed oracle configuration, or the standalone reduced-row path below),
-never by the main engines, and written to tests/frozen_values.py.  Run once:
+never by the main engines, and written to src/frobw/frozen_values.py.  Run
+once:
 
     python3 tools/mint_frozen_values.py
 """
