@@ -365,16 +365,25 @@ def digit_power(G: PolynomialFp, e: int,
 # lives in a float dtype holding exact small integers; trailing updates are
 # BLAS matmuls with the inner dimension chunked so that accumulated products
 # stay below the dtype's exact-integer range.  The slow generic '%' is
-# replaced by a multiply/floor reduction with an off-by-one fixup.
+# replaced by a multiply/floor reduction with an off-by-one fixup.  Pivot
+# inverses are computed by modular powering as the pivots appear.
 
 _BASE = 32
 
 
+#: the float dtypes that hold exact integers, with the largest one each holds
+_EXACT = ((np.float32, 2 ** 24 - 1), (np.float64, 2 ** 53 - 1))
+
+
 def _dtype_for(p: int):
-    """float32 when products of residues fit its exact range, else float64."""
-    if (p - 1) ** 2 * _BASE < 2 ** 24:
-        return np.float32, 2 ** 24 - 1
-    return np.float64, 2 ** 53 - 1
+    """float32 when sums of _BASE products of residues fit its exact range,
+    else float64; a prime too large for float64 is refused before any work."""
+    for dtype, exact_cap in _EXACT:
+        if (p - 1) ** 2 * _BASE + (p - 1) <= exact_cap:
+            return dtype, exact_cap
+    raise InstanceTooLarge(
+        f"prime too large: dense elimination over F_{p} leaves the exact "
+        f"range of float64")
 
 
 def _mod_inplace(A: np.ndarray, p: int) -> np.ndarray:
@@ -392,7 +401,8 @@ def _mod_inplace(A: np.ndarray, p: int) -> np.ndarray:
 def _matmul_mod(X: np.ndarray, Y: np.ndarray, p: int, exact_cap: int) -> np.ndarray:
     """(X @ Y) mod p with the inner dimension chunked for exactness."""
     k = X.shape[1]
-    kc = exact_cap // max(1, (p - 1) ** 2)
+    # room for kc products on top of an accumulator already reduced mod p
+    kc = (exact_cap - (p - 1)) // max(1, (p - 1) ** 2)
     if k <= kc:
         return _mod_inplace(X @ Y, p)
     out = np.zeros((X.shape[0], Y.shape[1]), dtype=X.dtype)
@@ -431,7 +441,7 @@ def _trsm_unit_lower(L, invs, B, p, exact_cap) -> None:
     _trsm_unit_lower(L[h:, h:], invs[h:], B[h:], p, exact_cap)
 
 
-def _factor(A, p, inv, r0, c0, c1, piv_cols, piv_invs, exact_cap) -> int:
+def _factor(A, p, r0, c0, c1, piv_cols, piv_invs, exact_cap) -> int:
     """Eliminate columns [c0, c1) against rows [r0, m).
 
     Pivot rows bubble up to r0, r0+1, ...; multipliers are stored below the
@@ -456,7 +466,7 @@ def _factor(A, p, inv, r0, c0, c1, piv_cols, piv_invs, exact_cap) -> int:
             if pr != rr:
                 P[[rr, pr]] = P[[pr, rr]]
                 swaps.append((rr, pr))
-            ipiv = inv[int(P[rr, j])]
+            ipiv = pow(int(P[rr, j]), p - 2, p)
             if ipiv != 1:
                 P[rr, j:] = (P[rr, j:] * ipiv) % p
             f = P[rr + 1:, j]
@@ -478,7 +488,7 @@ def _factor(A, p, inv, r0, c0, c1, piv_cols, piv_invs, exact_cap) -> int:
         return rr
     mid = c0 + (w // 2)
     n0 = len(piv_cols)
-    k1 = _factor(A, p, inv, r0, c0, mid, piv_cols, piv_invs, exact_cap)
+    k1 = _factor(A, p, r0, c0, mid, piv_cols, piv_invs, exact_cap)
     if k1:
         pc = piv_cols[n0:]
         invs = np.array(piv_invs[n0:], dtype=A.dtype)
@@ -491,29 +501,21 @@ def _factor(A, p, inv, r0, c0, c1, piv_cols, piv_invs, exact_cap) -> int:
             np.subtract(T, _matmul_mod(L21, np.ascontiguousarray(B), p,
                                        exact_cap), out=T)
             _mod_inplace(T, p)
-    k2 = _factor(A, p, inv, r0 + k1, mid, c1, piv_cols, piv_invs, exact_cap)
+    k2 = _factor(A, p, r0 + k1, mid, c1, piv_cols, piv_invs, exact_cap)
     return k1 + k2
-
-
-def _inverse_table(p: int, dtype) -> np.ndarray:
-    t = np.zeros(p, dtype=dtype)
-    for a in range(1, p):
-        t[a] = pow(a, p - 2, p)
-    return t
 
 
 def rank_fp_dense(A: np.ndarray, p: int) -> int:
     """Rank over F_p of a dense integer matrix.  A is consumed."""
     m, n = A.shape
+    dtype, exact_cap = _dtype_for(p)
     if m == 0 or n == 0:
         return 0
-    dtype, exact_cap = _dtype_for(p)
     W = np.ascontiguousarray(A, dtype=dtype)
     _mod_inplace(W, p)
     piv_cols: list[int] = []
     piv_invs: list[float] = []
-    return _factor(W, p, _inverse_table(p, dtype), 0, 0, n,
-                   piv_cols, piv_invs, exact_cap)
+    return _factor(W, p, 0, 0, n, piv_cols, piv_invs, exact_cap)
 
 
 def _usolve_unit_upper(U, B, p, exact_cap) -> None:
@@ -549,8 +551,7 @@ def kernel_fp_dense(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     _mod_inplace(W, p)
     piv_cols: list[int] = []
     piv_invs: list[float] = []
-    r = _factor(W, p, _inverse_table(p, dtype), 0, 0, n,
-                piv_cols, piv_invs, exact_cap)
+    r = _factor(W, p, 0, 0, n, piv_cols, piv_invs, exact_cap)
     free_cols = sorted(set(range(n)) - set(piv_cols))
     if not free_cols:
         return r, np.zeros((n, 0), dtype=dtype)
@@ -569,3 +570,122 @@ def kernel_fp_dense(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     for j, fc in enumerate(free_cols):
         K[fc, j] = 1
     return r, K
+
+
+# ---------------------------------------------------------------------------
+# batched rank of small matrices over F_p
+#
+# Gauss-Jordan elimination on a stack of zero-padded matrices: one
+# vectorized step per column eliminates that column in every matrix at once.
+# Entries are exact integers in a float dtype.  Each step reduces the pivot
+# column and the pivot row mod p and subtracts multiples below p of the
+# pivot row, so every other entry grows by at most (p-1)^2 per step; the
+# whole stack is reduced only when the next step could leave the exact
+# range.  The pivot column and row are reduced through an integer type,
+# where '%' is fast.
+
+#: float32 is used while it allows this many steps between reductions
+_BATCH_F32_STEPS = 64
+
+
+def _batch_dtype(p: int):
+    """The float dtype of the stack, the integer dtype its reductions use,
+    and the number of steps it allows between reductions; a prime too large
+    for float64 is refused before any work."""
+    for (dtype, exact_cap), itype, least in zip(
+            _EXACT, (np.int32, np.int64), (_BATCH_F32_STEPS, 1)):
+        steps = (exact_cap - (p - 1)) // (p - 1) ** 2
+        if steps >= least:
+            return dtype, itype, steps
+    raise InstanceTooLarge(
+        f"prime too large: batched elimination over F_{p} leaves the exact "
+        f"range of float64")
+
+
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise: the inverses of integer residues x != 0.
+    Products stay below p^2, which fits x's dtype for the primes that
+    _batch_dtype accepts."""
+    out = np.ones_like(x)
+    n = p - 2
+    while n:
+        if n & 1:
+            out = out * x % p
+        n >>= 1
+        if n:
+            x = x * x % p
+    return out
+
+
+def kernel_fp_batched(mats: list[np.ndarray],
+                      p: int) -> list[tuple[int, np.ndarray]]:
+    """Rank and kernel basis over F_p of each of a list of small dense
+    integer matrices, eliminated together in one zero-padded stack.
+
+    Returns one (rank, K) per matrix, as kernel_fp_dense does.  The cost is
+    one vectorized step per column of the widest matrix.
+    """
+    dtype, itype, steps = _batch_dtype(p)
+    # widest first, so that the matrices a step still has to eliminate are
+    # a prefix of the stack, and the rows they span a prefix of the rows
+    order = sorted(range(len(mats)), key=lambda b: -mats[b].shape[1])
+    widths = np.array([mats[b].shape[1] for b in order], dtype=np.int64)
+    spans = np.maximum.accumulate([mats[b].shape[0] for b in order]
+                                  or [0]).astype(np.int64)
+    B, C, R = len(mats), int(widths[0]) if mats else 0, int(spans[-1])
+    # stored transposed, T[b, c] is column c of matrix b, so that the
+    # trailing columns a step updates are one contiguous slab per matrix
+    T = np.zeros((B, C, R), dtype=dtype)
+    for k, b in enumerate(order):
+        A = mats[b]
+        T[k, :A.shape[1], :A.shape[0]] = np.remainder(A.T, p)
+    unused = np.ones((B, R), dtype=bool)
+    rank = np.zeros(B, dtype=np.int64)
+    piv_cols = np.zeros((B, min(R, C)), dtype=np.int64)
+    piv_rows = np.zeros((B, min(R, C)), dtype=np.int64)
+    at = np.arange(B)
+    left = steps
+    for j in range(C):
+        live = B - int(np.searchsorted(widths[::-1], j, side="right"))
+        span = int(spans[live - 1])
+        if span == 0:
+            continue
+        V = T[:live, :, :span]
+        V[:, j] = V[:, j].astype(itype) % p
+        col = V[:, j]
+        open_rows = (col != 0) & unused[:live, :span]
+        piv = open_rows.argmax(axis=1)
+        has = open_rows[at[:live], piv]
+        if not has.any():
+            continue
+        b, piv = at[:live][has], piv[has]
+        prow = V[b, j:, piv].astype(itype) % p
+        prow = prow * _inverse_mod(prow[:, :1], p) % p
+        # every row of a matrix with a pivot loses its multiple of the
+        # pivot row, which leaves zeros in column j; the pivot row itself
+        # is then replaced by the normalized one
+        full = np.zeros((live, C - j), dtype=dtype)
+        full[b] = prow
+        V[:, j:] -= full[:, :, None] * col[:, None, :]
+        V[b, j:, piv] = prow
+        unused[b, piv] = False
+        piv_cols[b, rank[b]] = j
+        piv_rows[b, rank[b]] = piv
+        rank[b] += 1
+        left -= 1
+        if left == 0:
+            np.remainder(T, p, out=T)
+            left = steps
+    out = [None] * B
+    for k, b in enumerate(order):
+        n = mats[b].shape[1]
+        r = int(rank[k])
+        pc, pr = piv_cols[k, :r], piv_rows[k, :r]
+        free = np.setdiff1d(np.arange(n), pc)
+        K = np.zeros((n, free.size), dtype=dtype)
+        # reduced echelon form: in the kernel vector of the free column f,
+        # the entry at pivot column i is minus pivot row i at f
+        K[pc] = np.remainder(-T[k][free][:, pr].T, p)
+        K[free, np.arange(free.size)] = 1
+        out[b] = (r, K)
+    return out

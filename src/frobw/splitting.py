@@ -18,13 +18,19 @@ Phi_{e,m} is block diagonal for the grading of the monomials by their
 class modulo the lattice of exponent differences of G, so its rank is the
 sum of the ranks of its blocks, each certified on its own.
 
-Rank strategy: small blocks are materialized densely and eliminated
-exactly.  Large or tall blocks compress the rows by a seeded hash into a
-sketch with a few spare rows; sketch rank = column count is a proof of full
-column rank, and otherwise the sketch's kernel basis is verified against
-the uncompressed block, which certifies the exact rank.  Failed
-verification retries with a larger sketch, so every returned value is
-certified.
+Rank strategy: blocks at most twice as tall as wide are materialized
+densely and eliminated exactly.  Taller blocks, and blocks too large to
+materialize, compress the rows by a seeded hash into a sketch with 64
+spare rows, unless the built block, without its zero rows, is no taller
+than that sketch.  Sketch rank = column count is a proof of full column
+rank; otherwise the sketch's kernel basis is verified against the
+uncompressed block, which certifies the exact rank.  Failed verification
+retries with a larger sketch, so every returned value is certified.  Every
+block of one Phi_{e,m} with at most 128 nonzero columns is eliminated in
+one batch, one vectorized step per column (kernel_fp_batched): dense blocks
+in the tall orientation, sketched blocks as their first sketch.  Wider
+blocks go one at a time through the BLAS-blocked engine (rank_fp_dense,
+kernel_fp_dense).
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .ffkernel import (
     PrimeField,
     digit_power,
     exponent_array,
+    kernel_fp_batched,
     kernel_fp_dense,
     n_monomials,
     n_monomials_capped,
@@ -62,6 +69,12 @@ DEFAULT_WORK_CAP = 2.0 * 10 ** 11
 
 #: blocks with more than this many rows per column are sketched
 _TALL = 2
+
+#: blocks with at most this many nonzero columns are ranked in one batch
+_BATCH_COLS = 128
+
+#: stack cells plus held nonzeros at which a batch is ranked and released
+_BATCH_CELLS = 1 << 20
 
 _HASH_A = np.uint64(0x9E3779B97F4A7C15)
 _HASH_B = np.uint64(0xBF58476D1CE4E5B9)
@@ -90,15 +103,13 @@ class GradedHypersurface:
         self.v = G.nvars
         self.delta = delta
         self.fano_coindex = self.v - delta
-        # a single term generates a non-reduced ring; theory checks that
-        # assume normality are then advisory only
-        self.degenerate_warning = len(G.terms) == 1
         exps = sorted(G.terms)
         self._w0 = np.array(exps[0], dtype=np.int64)
         self._lattice = _grading_lattice(exps)
         self._gq_cache: dict[int, PolynomialFp] = {}
         self._gq_arrays_cache: dict[int, tuple] = {}
         self._term_masks_cache: dict[int, np.ndarray] = {}
+        self._basis_cache: dict[int, np.ndarray] = {}
         self._layout_cache: dict[tuple[int, int], _Layout] = {}
         self._b_cache: dict[tuple[int, int], int] = {}
 
@@ -259,13 +270,21 @@ class _Layout(NamedTuple):
     columns: list[np.ndarray]
 
 
+def _basis(ring: GradedHypersurface, m: int) -> np.ndarray:
+    """The restricted basis of degree m, built once and shared by the
+    witness scan and the layouts until a rank of degree m is cached."""
+    if m not in ring._basis_cache:
+        ring._basis_cache[m] = ring.restricted_basis(m)
+    return ring._basis_cache[m]
+
+
 def _layout(ring: GradedHypersurface, e: int, m: int) -> _Layout:
     """The layout of Phi_{e,m}, computed once per (e, m): the basis and its
     class labels serve both the work estimate and the rank."""
     key = (e, m)
     if key not in ring._layout_cache:
         q = ring.field.p ** e
-        basis = ring.restricted_basis(m)
+        basis = _basis(ring, m)
         cols = basis.shape[0]
         rows = n_monomials_capped(ring.v, m + ring.delta * (q - 1), q - 1)
         if ring._lattice is None or rows == 0 or cols == 0:
@@ -326,10 +345,10 @@ def _column_scan(ring: GradedHypersurface, e: int, U: np.ndarray):
 
 def _has_zero_column(ring: GradedHypersurface, e: int, m: int) -> bool:
     """Whether some restricted basis monomial u admits no valid product,
-    i.e. u is a monomial witness for I_e(m) != 0.  Linear work, no rank."""
-    basis = ring.restricted_basis(m)
+    i.e. u is a monomial witness for I_e(m) != 0.  Linear work, no rank,
+    and no enumeration of the target monomials."""
     return any(not acc.any(axis=1).all()
-               for _, acc in _column_scan(ring, e, basis))
+               for _, acc in _column_scan(ring, e, _basis(ring, m)))
 
 
 class _Block(NamedTuple):
@@ -418,13 +437,21 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
     _check_caps(ring, e, m, work_cap)
     b = _rank_phi(ring, e, m)
     ring._b_cache[key] = b
-    ring._layout_cache.pop(key, None)  # the cached rank replaces it
+    # the cached rank replaces the layout and its basis
+    ring._layout_cache.pop(key, None)
+    ring._basis_cache.pop(m, None)
     return b
 
 
 def _rank_phi(ring: GradedHypersurface, e: int, m: int) -> int:
+    """Sum of the certified block ranks.  Blocks with at most _BATCH_COLS
+    nonzero columns are ranked together by _rank_batch; wider blocks take
+    _rank_block."""
+    p = ring.field.p
+    split = ring._lattice is not None
     layout = _layout(ring, e, m)
     total = 0
+    batch, cells = [], 0
     for (rows, cols), idx in zip(layout.shapes, layout.columns):
         if rows == 0 or cols == 0:
             continue
@@ -433,37 +460,95 @@ def _rank_phi(ring: GradedHypersurface, e: int, m: int) -> int:
             raise InternalCheckError(
                 f"block bookkeeping at e={e}, m={m}: built {blk.shape[0]} x "
                 f"{idx.size}, counted {rows} x {cols}")
-        total += _rank_block(ring, e, m, blk,
-                             _sketched(rows, cols, ring._lattice is not None))
+        nrows, ncols = blk.shape
+        if nrows == 0:
+            continue
+        # the row bound counts every target of the class; a built block no
+        # taller than its sketch is eliminated as it is, exactly
+        sketched = (_sketched(rows, cols, split)
+                    and nrows > _sketch_rows(ncols, 0))
+        if ncols > _BATCH_COLS:
+            total += _rank_block(ring, e, m, blk, sketched)
+            continue
+        if sketched:
+            A = _sketch(blk, _sketch_rows(ncols, 0),
+                        _sketch_seed(ring, e, m, 0), p)
+            batch.append((A, idx, _csr(blk)))
+            cells += blk.vals.size
+        else:
+            A = _dense(blk)
+            batch.append((A if nrows >= ncols else A.T, None, None))
+        cells += A.size
+        if cells > _BATCH_CELLS:
+            total += _rank_batch(ring, e, m, layout.basis, batch)
+            batch, cells = [], 0
+    return total + _rank_batch(ring, e, m, layout.basis, batch)
+
+
+def _rank_batch(ring: GradedHypersurface, e: int, m: int, basis: np.ndarray,
+                batch: list) -> int:
+    """Sum of the certified ranks of a batch of blocks, eliminated together
+    by kernel_fp_batched.  A batch entry is a dense block in the tall
+    orientation, or the first sketch of a block with the block's columns
+    into the basis and its true matrix, against which the sketch's kernel
+    is verified.  A sketch that fails the check goes on to the larger
+    sketches of _rank_block."""
+    if not batch:
+        return 0
+    p = ring.field.p
+    total = 0
+    results = kernel_fp_batched([A for A, _, _ in batch], p)
+    for (rank, K), (_, idx, true) in zip(results, batch):
+        if true is None or rank == K.shape[0]:
+            total += rank  # exact, or a full-rank sketch: a proof
+        elif _kernel_verifies(true, K, p):
+            total += rank  # ker(sketch) = ker(block): the ranks agree
+        else:
+            blk = _build_block(ring, e, basis[idx])
+            total += _rank_block(ring, e, m, blk, True, first_attempt=1)
     return total
 
 
 def _rank_block(ring: GradedHypersurface, e: int, m: int, blk: _Block,
-                sketched: bool) -> int:
+                sketched: bool, first_attempt: int = 0) -> int:
     """Certified rank of one block, dense or by sketch and kernel check."""
     p = ring.field.p
     nrows, ncols = blk.shape
     if nrows == 0:
         return 0
     if not sketched:
-        A = np.zeros(blk.shape)
-        A[blk.rows, blk.cols] = blk.vals
+        A = _dense(blk)
         # same rank; elimination runs faster on the wide orientation
         return rank_fp_dense(A.T if nrows > ncols else A, p)
-    r = ncols + 64
-    for attempt in range(4):
+    for attempt in range(first_attempt, 4):
+        r = _sketch_rows(ncols, attempt)
         seed = _sketch_seed(ring, e, m, attempt)
         rank_s, K = kernel_fp_dense(_sketch(blk, r, seed, p), p)
         if rank_s == ncols:
             return ncols  # rank(sketch) <= rank(block) <= cols forces equality
-        if _kernel_verifies(blk, K, p):
+        if _kernel_verifies(_csr(blk), K, p):
             return rank_s  # ker(sketch) = ker(block), so the ranks agree
-        r = 2 * r + 64
-        if r > MAX_MATRIX_SIDE:
+        if _sketch_rows(ncols, attempt + 1) > MAX_MATRIX_SIDE:
             break
     raise InternalCheckError(
         f"sketch certification failed for e={e}, m={m} after enlarging the "
         f"sketch; falsifying sketch size {r}")
+
+
+def _dense(blk: _Block) -> np.ndarray:
+    A = np.zeros(blk.shape)
+    A[blk.rows, blk.cols] = blk.vals
+    return A
+
+
+def _csr(blk: _Block) -> scipy.sparse.csr_matrix:
+    return scipy.sparse.csr_matrix(
+        (blk.vals.astype(np.float64), (blk.rows, blk.cols)), shape=blk.shape)
+
+
+def _sketch_rows(ncols: int, attempt: int) -> int:
+    """Rows of the sketch at an attempt: ncols + 64, then 2r + 64."""
+    return (ncols + 128) * 2 ** attempt - 64
 
 
 def _sketch(blk: _Block, r: int, seed: int, p: int) -> np.ndarray:
@@ -491,10 +576,16 @@ def _sketch_seed(ring: GradedHypersurface, e: int, m: int,
     return h
 
 
-def _kernel_verifies(blk: _Block, K: np.ndarray, p: int) -> bool:
-    """Exact check that every sketch-kernel vector kills the true block."""
-    A = scipy.sparse.csr_matrix(
-        (blk.vals.astype(np.float64), (blk.rows, blk.cols)), shape=blk.shape)
+def _kernel_verifies(A: scipy.sparse.csr_matrix, K: np.ndarray,
+                     p: int) -> bool:
+    """Exact check that every sketch-kernel vector kills the true block A.
+    Refused before any work when a row's sum of products could leave the
+    exact range of float64."""
+    longest = int(np.diff(A.indptr).max(initial=0))
+    if longest * (p - 1) ** 2 > 2 ** 53 - 1:
+        raise InstanceTooLarge(
+            f"prime too large: verifying a kernel over F_{p} against rows "
+            f"of {longest} entries leaves the exact range of float64")
     return not np.any((A @ K.astype(np.float64)) % p)
 
 

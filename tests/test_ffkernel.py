@@ -16,6 +16,7 @@ from frobw.ffkernel import (
     digit_power,
     exponent_array,
     iter_degree,
+    kernel_fp_batched,
     kernel_fp_dense,
     n_monomials,
     n_monomials_capped,
@@ -349,3 +350,101 @@ class TestRankEngine:
         A = ((B @ C) % p).astype(np.float64)
         assert rank_fp_dense(A, p) == 180
 
+    def test_pivot_inverses_need_no_table(self):
+        # the largest prime the dense engine takes: float64, (p-1)^2 * 32
+        # plus a residue below 2^53; the old O(p) inverse table hung here
+        npr = np.random.RandomState(5)
+        for p in (16777213, 65537):
+            A = (npr.randint(0, p, (40, 25)) @ npr.randint(0, 2, (25, 40))) % p
+            expect = _naive_rank(A.copy(), p)
+            assert expect == 25
+            assert rank_fp_dense(A.astype(np.float64), p) == expect
+            r, K = kernel_fp_dense(A.astype(np.float64), p)
+            assert r == expect
+            assert not ((A.astype(object) @ K.astype(np.int64)) % p).any()
+
+    @pytest.mark.parametrize("p", [16777259, 100000007, 2 ** 31 - 1])
+    def test_prime_past_the_exact_range_refused(self, monkeypatch, p):
+        def unreached(*args):
+            raise AssertionError("elimination started")
+        monkeypatch.setattr(ffkernel, "_factor", unreached)
+        A = np.random.RandomState(0).randint(0, 1000, (40, 40))
+        for engine in (rank_fp_dense, kernel_fp_dense):
+            with pytest.raises(InstanceTooLarge, match="prime too large"):
+                engine(A.astype(np.float64), p)
+
+
+#: the largest prime the batched engine runs in float32, and in float64
+LARGEST_F32_PRIME = 509
+LARGEST_BATCHED_PRIME = 94906249
+
+
+def _test_matrix(npr, p, rows, cols, kind):
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == "random":
+        return npr.randint(0, p, (rows, cols)).astype(np.int64)
+    # low rank, or rows repeated as scaled copies of one another
+    t = npr.randint(0, min(rows, cols) + 1)
+    A = (npr.randint(0, p, (rows, t)).astype(object)
+         @ npr.randint(0, p, (t, cols)).astype(object)) % p
+    A = A.astype(np.int64).reshape(rows, cols)
+    if kind == "duplicate" and rows > 1:
+        src = npr.randint(0, rows, rows)
+        A = (A[src] * npr.randint(0, p, (rows, 1))) % p
+    return A
+
+
+class TestBatchedEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 101, LARGEST_F32_PRIME,
+                              LARGEST_BATCHED_PRIME]),
+           shapes=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14),
+                                     st.sampled_from(["zero", "random",
+                                                      "low-rank",
+                                                      "duplicate"])),
+                           max_size=7),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_matches_naive_rank(self, p, shapes, seed):
+        npr = np.random.RandomState(seed)
+        mats = [_test_matrix(npr, p, r, c, kind) for r, c, kind in shapes]
+        out = kernel_fp_batched([A.astype(np.float64) for A in mats], p)
+        assert len(out) == len(mats)
+        for A, (rank, K) in zip(mats, out):
+            cols = A.shape[1]
+            expect = _naive_rank(A.copy(), p)
+            assert rank == expect
+            assert K.shape == (cols, cols - expect)
+            Ki = K.astype(np.int64)
+            assert ((Ki >= 0) & (Ki < p)).all()
+            assert not ((A.astype(object) @ Ki.astype(object)) % p).any()
+            if K.size:
+                assert _naive_rank(Ki.T.copy(), p) == cols - expect
+
+    def test_float_dtype_by_prime(self):
+        assert ffkernel._batch_dtype(LARGEST_F32_PRIME)[0] is np.float32
+        assert ffkernel._batch_dtype(521)[0] is np.float64
+        assert ffkernel._batch_dtype(LARGEST_BATCHED_PRIME)[2] == 1
+
+    def test_stack_reduced_between_steps(self):
+        # at p = 509 float32 allows 64 unreduced steps, so a 100-column
+        # matrix needs a reduction of the whole stack midway
+        p = LARGEST_F32_PRIME
+        npr = np.random.RandomState(3)
+        A = _test_matrix(npr, p, 110, 100, "low-rank")
+        B = npr.randint(0, p, (100, 100))
+        (ra, _), (rb, _) = kernel_fp_batched(
+            [A.astype(np.float64), B.astype(np.float64)], p)
+        assert (ra, rb) == (_naive_rank(A.copy(), p), _naive_rank(B.copy(), p))
+
+    def test_prime_past_the_exact_range_refused(self):
+        npr = np.random.RandomState(4)
+        A = npr.randint(0, 1000, (12, 12)).astype(np.float64)
+        with pytest.raises(InstanceTooLarge, match="prime too large"):
+            kernel_fp_batched([A], 94906297)
+        # refused before the matrices are read at all
+        with pytest.raises(InstanceTooLarge, match="prime too large"):
+            kernel_fp_batched([None], 94906297)
+
+    def test_empty_list(self):
+        assert kernel_fp_batched([], 7) == []

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse
 
 import frobw.splitting as splitting
 from frobw.errors import InstanceTooLarge, ValidationError
-from frobw.ffkernel import (PolynomialFp, PrimeField, kernel_fp_dense,
-                            rank_fp_dense)
+from frobw.ffkernel import PolynomialFp, PrimeField
 from frobw.frozen_values import FROZEN
 from frobw.oracle import naive_b_dimension
 from frobw.splitting import (
@@ -87,24 +88,71 @@ class TestBDimension:
         assert b_dimension(cubic_p5, 1, 0) == 1
         assert b_dimension(elliptic_cone(5), 1, 0) == 0
 
-    def test_sketch_path_matches_dense(self, cubic_p5, monkeypatch):
-        paths = []
-        for name, engine in (("dense", rank_fp_dense),
-                             ("sketch", kernel_fp_dense)):
-            def counted(A, p, name=name, engine=engine):
-                paths.append(name)
-                return engine(A, p)
-            monkeypatch.setattr(splitting, engine.__name__, counted)
-        cubic_p5._b_cache.clear()
-        dense = [b_dimension(cubic_p5, 1, m) for m in range(5)]
-        assert set(paths) == {"dense"}
-        paths.clear()
+    def test_sketch_path_matches_dense(self, monkeypatch):
+        # the batched engine, the dense _factor alone and the sketch plus
+        # kernel check alone give the same certified values.  At level 3 and
+        # degrees up to 30 every block of the quadric is tall, its built
+        # rows outnumber its sketch's, and it has at most 126 columns; the
+        # b-profile is (m+1)^2 up to the middle degree 26, then palindromic
+        ring = diagonal_hypersurface(3, 4, 2)
+        degrees = (6, 20, 28, 30)
+        expect = [(min(m, 52 - m) + 1) ** 2 for m in degrees]
+        calls = self.spy_engines(monkeypatch)
+
+        def paths_and_values():
+            calls.clear()
+            ring._b_cache.clear()
+            values = [b_dimension(ring, 3, m) for m in degrees]
+            return set(calls), values
+
+        assert paths_and_values() == ({"kernel_fp_batched",
+                                       "_kernel_verifies"}, expect)
+        monkeypatch.setattr(splitting, "_BATCH_COLS", 0)
+        with monkeypatch.context() as mp:
+            mp.setattr(splitting, "_TALL", 10 ** 9)
+            assert paths_and_values() == ({"rank_fp_dense"}, expect)
         monkeypatch.setattr(splitting, "DENSE_CELLS", 0)
+        assert paths_and_values() == ({"kernel_fp_dense", "_kernel_verifies"},
+                                      expect)
+
+    def test_failed_batch_check_falls_back(self, monkeypatch):
+        # a sketch kernel from the batch that fails its check is retried
+        # by the enlarged sketches of the single-block loop
+        ring = diagonal_hypersurface(3, 4, 2)
+        calls = self.spy_engines(monkeypatch)
+        verify = splitting._kernel_verifies
+        refused = []
+
+        def refuse_first(A, K, p):
+            if not refused:
+                refused.append(A.shape)
+                return False
+            return verify(A, K, p)
+        monkeypatch.setattr(splitting, "_kernel_verifies", refuse_first)
+        assert b_dimension(ring, 3, 30) == 23 ** 2
+        assert refused and calls.count("kernel_fp_dense") == 1
+
+    def test_block_no_taller_than_its_sketch_is_not_sketched(self, cubic_p5,
+                                                            monkeypatch):
+        # every tall block of the cubic at level 2 has fewer built rows than
+        # its sketch would have, so nothing is sketched or verified
+        calls = self.spy_engines(monkeypatch)
         cubic_p5._b_cache.clear()
-        sketchy = [b_dimension(cubic_p5, 1, m) for m in range(5)]
+        assert [b_dimension(cubic_p5, 2, m) for m in range(25)] \
+            == FROZEN["cubic_p5_e2_b"]
         cubic_p5._b_cache.clear()
-        assert set(paths) == {"sketch"}
-        assert sketchy == dense
+        assert set(calls) == {"kernel_fp_batched"}
+
+    @staticmethod
+    def spy_engines(monkeypatch) -> list[str]:
+        calls = []
+        for name in ("kernel_fp_batched", "rank_fp_dense", "kernel_fp_dense",
+                     "_kernel_verifies"):
+            def counted(*args, name=name, engine=getattr(splitting, name)):
+                calls.append(name)
+                return engine(*args)
+            monkeypatch.setattr(splitting, name, counted)
+        return calls
 
     def test_work_cap_raises(self, monkeypatch):
         # the differences of the exponents of G span the whole degree-0
@@ -152,7 +200,22 @@ class TestBDimension:
         monkeypatch.setattr(GradedHypersurface, "restricted_basis", counted)
         pr = profile(ring, 2)
         assert sorted(degrees) == list(range(pr.M_e + 1))
-        assert not ring._layout_cache  # each layout is dropped with its rank
+        # each layout and basis is dropped with its rank
+        assert not ring._layout_cache and not ring._basis_cache
+
+    def test_kernel_check_exact_range(self):
+        # rows of two entries: 2 (p-1)^2 must stay below 2^53
+        for p in (67108859, 67108879):
+            A = scipy.sparse.csr_matrix(np.array([[1.0, p - 1.0],
+                                                  [p - 1.0, 1.0]]))
+            kernel = np.array([[1.0], [1.0]])
+            wrong = np.array([[1.0], [p - 2.0]])
+            if p == 67108859:
+                assert splitting._kernel_verifies(A, kernel, p)
+                assert not splitting._kernel_verifies(A, wrong, p)
+            else:
+                with pytest.raises(InstanceTooLarge, match="prime too large"):
+                    splitting._kernel_verifies(A, kernel, p)
 
     def test_bad_arguments(self, cubic_p5):
         with pytest.raises(ValidationError):
@@ -162,6 +225,30 @@ class TestBDimension:
 
 
 class TestThresholds:
+    def test_probe_builds_basis_once(self, monkeypatch):
+        # each probe looks for a zero column first and ranks only without
+        # one; both steps share one basis, and the witness scan never
+        # enumerates the target monomials of a layout
+        ring = diagonal_hypersurface(3, 4, 2)
+        built, laid_out = [], []
+        basis = GradedHypersurface.restricted_basis
+        layout = splitting._layout
+
+        def counted_basis(self, m):
+            built.append(m)
+            return basis(self, m)
+
+        def counted_layout(ring, e, m):
+            laid_out.append(m)
+            return layout(ring, e, m)
+        monkeypatch.setattr(GradedHypersurface, "restricted_basis",
+                            counted_basis)
+        monkeypatch.setattr(splitting, "_layout", counted_layout)
+        assert m_threshold(ring, 2) == 8
+        ranked = {m for e, m in ring._b_cache}
+        assert len(built) == len(set(built)) == 8
+        assert ranked == {1, 2, 4, 8} and set(laid_out) == ranked
+
     @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 1)])
     def test_quadric_threshold(self, p, e):
         ring = diagonal_hypersurface(p, 4, 2)
