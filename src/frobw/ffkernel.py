@@ -15,7 +15,6 @@ product monomial, and equal keys are merged by sorting.
 from __future__ import annotations
 
 from math import comb, prod
-from typing import Iterator
 
 import numpy as np
 
@@ -83,35 +82,26 @@ def n_monomials_capped(v: int, m: int, cap: int) -> int:
     return total
 
 
-def iter_degree(v: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Yield all exponent tuples of degree m in v variables in colex order."""
-    if v == 1:
-        yield (m,)
-        return
-    for last in range(m + 1):
-        for rest in iter_degree(v - 1, m - last):
-            yield rest + (last,)
-
-
 def exponent_array(v: int, m: int, cap: int | None = None) -> np.ndarray:
     """All degree-m exponent vectors in v variables with every exponent <=
-    cap, as an (n x v) int64 array in the colex order of iter_degree."""
+    cap, as an (n x v) int64 array in colex order: lexicographic order on
+    the reversed vectors (last exponent slowest, first exponent fastest)."""
     cap = m if cap is None else min(cap, m)
-    # the vectors in the first k variables of degree <= m, by descending
-    # degree and in colex order within a degree
-    vecs = np.arange(cap, -1, -1, dtype=np.int64)[:, None]
-    neg_deg = -vecs[:, 0]
-    for k in range(2, v + 1):
-        parts, degs = [], []
-        for s in (range(m, -1, -1) if k < v else (m,)):
-            # last exponent a = 0..min(s, cap): degrees s down to s - a
-            lo = np.searchsorted(neg_deg, -s, side="left")
-            hi = np.searchsorted(neg_deg, min(s, cap) - s, side="right")
-            parts.append(np.column_stack((vecs[lo:hi], s + neg_deg[lo:hi])))
-            degs.append(np.full(hi - lo, -s))
-        vecs = np.concatenate(parts)
-        neg_deg = np.concatenate(degs)
-    return vecs[neg_deg == -m]
+    if m < 0 or m > v * cap:
+        return np.zeros((0, v), dtype=np.int64)
+    # fix the exponents from the last variable down; every prefix is
+    # extended by each value that leaves a degree x_0..x_{j-1} can take up
+    out = np.zeros((1, v), dtype=np.int64)
+    rest = np.array([m], dtype=np.int64)
+    for j in range(v - 1, 0, -1):
+        lo = np.maximum(rest - j * cap, 0)
+        counts = np.minimum(rest, cap) - lo + 1
+        out = np.repeat(out, counts, axis=0)
+        starts = np.repeat(np.cumsum(counts) - counts - lo, counts)
+        out[:, j] = np.arange(len(out), dtype=np.int64) - starts
+        rest = np.repeat(rest, counts) - out[:, j]
+    out[:, 0] = rest
+    return out
 
 
 # ---------------------------------------------------------------------------

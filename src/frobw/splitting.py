@@ -557,7 +557,7 @@ def _sketch(blk: _Block, r: int, seed: int, p: int) -> np.ndarray:
     seed)."""
     keys = blk.row_keys.astype(np.uint64)
     sd = np.uint64(seed)
-    buckets = ((keys * _HASH_A + sd) >> np.uint64(17)).astype(np.int64) % r
+    buckets = ((keys * _HASH_A + sd) >> np.uint64(32)).astype(np.int64) % r
     mix = ((keys * _HASH_B + sd) >> np.uint64(29)).astype(np.int64)
     coeffs = 1 + mix % (p - 1) if p > 2 else np.ones_like(mix)
     vals = (blk.vals * coeffs[blk.rows]) % p

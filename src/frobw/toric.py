@@ -6,23 +6,30 @@ vertex denominators (times d-1 for degree-one generation),
 
     alpha = r * min over lattice points u of rP of min_{c_i > 0} 1/c_i,
 
-where c_i = <u, v_i> + r.  Everything here is exact big-integer rational
-arithmetic; no floating point is used anywhere in this module.
+where c_i = <u, v_i> + r.  The vertices, volumes and alpha are exact
+rational arithmetic.  The lattice-point scan of rP runs over its bounding
+box in chunks of int64 arrays, refused in advance when some c_i could leave
+the range of int64, so it is exact too.  No floating point is used anywhere
+in this module.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InstanceTooLarge, InternalCheckError, ValidationError
 
 #: refuse lattice-point enumerations beyond this many box candidates
 DEFAULT_POINT_CAP = 10 ** 7
+
+#: box points decoded and scanned per int64 chunk
+_SCAN_CHUNK = 1 << 12
 
 #: random rational directions per lattice dimension for the completeness
 #: spot-check
@@ -187,42 +194,60 @@ def polar_and_dilate(fan: FanData) -> tuple[RationalPolytope, int]:
     return RationalPolytope(rays=fan.rays, vertices=tuple(unique)), r
 
 
-def _lattice_points(fan: FanData, P: RationalPolytope, r: int,
-                    point_cap: int):
-    """Lattice points of rP, in lexicographic order."""
-    lo = [min(math.ceil(r * u[j]) for u in P.vertices) for j in range(fan.d)]
-    hi = [max(math.floor(r * u[j]) for u in P.vertices) for j in range(fan.d)]
-    count = 1
-    for a, b in zip(lo, hi):
-        count *= max(0, b - a + 1)
+def _alpha_at_dilation(fan: FanData, P: RationalPolytope, r: int,
+                       point_cap: int):
+    """min over u in rP of r/(max_i c_i), with the lex-smallest witness u
+    and smallest witness ray recorded.
+
+    The bounding box of rP is decoded in lexicographic order from a flat
+    index, _SCAN_CHUNK points at a time; c_i = <u, v_i> + r is computed for
+    a whole chunk in int64, and the points of rP are those with every
+    c_i >= 0."""
+    d = fan.d
+    lo = [min(math.ceil(r * u[j]) for u in P.vertices) for j in range(d)]
+    hi = [max(math.floor(r * u[j]) for u in P.vertices) for j in range(d)]
+    sizes = [max(0, b - a + 1) for a, b in zip(lo, hi)]
+    count = math.prod(sizes)
     if count > point_cap:
         raise InstanceTooLarge(
             f"instance too large: {count} lattice-point candidates in the "
             f"bounding box of {r}P exceeds the cap {point_cap}")
-    for u in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if all(sum(a * b for a, b in zip(u, ray)) >= -r for ray in fan.rays):
-            yield u
-
-
-def _alpha_at_dilation(fan: FanData, P: RationalPolytope, r: int,
-                       point_cap: int):
-    """min over u in rP of r/(max_i c_i), with the lex-smallest witness u
-    and smallest witness ray recorded."""
-    best = None  # (alpha, u, ray_index)
-    for u in _lattice_points(fan, P, r, point_cap):
-        cs = [sum(a * b for a, b in zip(u, ray)) + r for ray in fan.rays]
-        cmax = max(cs)
-        if cmax == 0:
+    coord = max(abs(a) for a in lo + hi)
+    entry = max(abs(a) for ray in fan.rays for a in ray)
+    if d * coord * entry + r >= 2 ** 63 or count >= 2 ** 63:
+        raise InstanceTooLarge(
+            f"instance too large: the scan of {r}P (box coordinates up to "
+            f"{coord}, ray entries up to {entry}) leaves the range of int64")
+    rays_t = np.array(fan.rays, dtype=np.int64).T
+    origin = np.array(lo, dtype=np.int64)
+    best = None  # (cmax, u, ray_index)
+    for start in range(0, count, _SCAN_CHUNK):
+        flat = np.arange(start, min(start + _SCAN_CHUNK, count),
+                         dtype=np.int64)
+        U = np.empty((len(flat), d), dtype=np.int64)
+        for j in range(d - 1, -1, -1):
+            flat, U[:, j] = np.divmod(flat, sizes[j])
+        U += origin
+        C = U @ rays_t + r
+        inside = (C >= 0).all(axis=1)
+        U, C = U[inside], C[inside]
+        if not len(U):
+            continue
+        cmax = C.max(axis=1)
+        if not cmax.all():
+            u = tuple(int(a) for a in U[np.argmin(cmax)])
             raise InternalCheckError(
                 f"all c_i zero for some u: u={u} at dilation r={r}")
-        alpha_u = Fraction(r, cmax)
-        if best is None or alpha_u < best[0]:
-            best = (alpha_u, u, cs.index(cmax))
+        i = int(np.argmax(cmax))
+        if best is None or cmax[i] > best[0]:
+            best = (int(cmax[i]), tuple(int(a) for a in U[i]),
+                    int(np.argmax(C[i])))
     if best is None:
         raise InternalCheckError(
             f"no lattice points found in {r}P; the origin should always "
             f"be one")
-    return best
+    cmax, u, ray = best
+    return Fraction(r, cmax), u, ray
 
 
 def toric_alpha(fan: FanData,

@@ -15,7 +15,6 @@ from frobw.ffkernel import (
     PrimeField,
     digit_power,
     exponent_array,
-    iter_degree,
     kernel_fp_batched,
     kernel_fp_dense,
     n_monomials,
@@ -23,7 +22,13 @@ from frobw.ffkernel import (
     power_term_bound,
     rank_fp_dense,
 )
-from frobw.oracle import _naive_multiply
+from frobw.oracle import _naive_monomials, _naive_multiply
+
+
+def iter_degree(v, m):
+    """The degree-m exponent tuples in v variables in graded colex order:
+    the oracle's enumeration sorted by the reversed tuple."""
+    return sorted(_naive_monomials(v, m), key=lambda e: e[::-1])
 
 
 class TestPrimeField:
@@ -53,8 +58,8 @@ class TestPrimeField:
 class TestMonomials:
     @pytest.mark.parametrize("v,m", [(1, 5), (2, 4), (3, 6), (4, 5), (5, 3)])
     def test_enumeration_is_graded_colex(self, v, m):
-        mons = list(iter_degree(v, m))
-        assert len(mons) == n_monomials(v, m)
+        mons = [tuple(int(a) for a in row) for row in exponent_array(v, m)]
+        assert len(mons) == len(set(mons)) == n_monomials(v, m)
         assert mons == sorted(mons, key=lambda e: tuple(reversed(e)))
         assert all(sum(e) == m for e in mons)
 
@@ -74,6 +79,25 @@ class TestMonomials:
         arr = exponent_array(v, m, cap)
         assert arr.shape == (len(brute), v)
         assert [tuple(int(a) for a in row) for row in arr] == brute
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), v=st.integers(1, 6), m=st.integers(0, 14))
+    def test_exponent_array_matches_oracle_order(self, data, v, m):
+        cap = data.draw(st.one_of(
+            st.none(),
+            st.just(0),
+            st.integers(0, max(m - 1, 0)),        # below m
+            st.integers(m, m + 5),                # at or above m
+            st.integers(0, max(m - 1, 0) // v),   # v * cap < m when m > 0
+        ))
+        want = [e for e in iter_degree(v, m)
+                if cap is None or max(e) <= cap]
+        arr = exponent_array(v, m, cap)
+        assert arr.dtype == np.int64
+        assert arr.shape == (len(want), v)
+        assert [tuple(int(a) for a in row) for row in arr] == want
+        if cap is not None:
+            assert len(want) == n_monomials_capped(v, m, cap)
 
     def test_capped_count_zero_when_impossible(self):
         assert n_monomials_capped(3, 10, 2) == 0  # 3*2 < 10

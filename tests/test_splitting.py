@@ -143,6 +143,19 @@ class TestBDimension:
         cubic_p5._b_cache.clear()
         assert set(calls) == {"kernel_fp_batched"}
 
+    def test_first_sketches_of_quadric_surface_verify(self, monkeypatch):
+        # the bucket hash keeps the high bits of key * _HASH_A, which spread
+        # the rows of every sketched block of the quadric surface at p=5,
+        # e=2 over enough buckets that no first sketch fails its check and
+        # no second sketch goes to kernel_fp_dense
+        ring = diagonal_hypersurface(5, 4, 2)
+        calls = self.spy_engines(monkeypatch)
+        pr = profile(ring, 2, threads=1)
+        assert pr.b == [(min(m, 48 - m) + 1) ** 2 for m in range(49)]
+        assert pr.a_e == 10425
+        assert "_kernel_verifies" in calls
+        assert "kernel_fp_dense" not in calls
+
     @staticmethod
     def spy_engines(monkeypatch) -> list[str]:
         calls = []

@@ -1,11 +1,14 @@
 """Tests for exact toric alpha-invariants and anticanonical volumes."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
+import frobw.toric as toric
 from frobw.acceptance import named_fans, random_fan_corpus
-from frobw.errors import ValidationError
+from frobw.errors import InstanceTooLarge, ValidationError
 from frobw.frozen_values import FROZEN
 from frobw.toric import (
     FanData,
@@ -13,6 +16,22 @@ from frobw.toric import (
     polar_and_dilate,
     toric_alpha,
 )
+
+
+def point_by_point_scan(fan, P, r, point_cap):
+    """The scan of rP one lattice point at a time, in lexicographic order:
+    the first u of least r/max_i c_i and the first ray attaining the max."""
+    lo = [min(math.ceil(r * u[j]) for u in P.vertices) for j in range(fan.d)]
+    hi = [max(math.floor(r * u[j]) for u in P.vertices) for j in range(fan.d)]
+    best = None
+    for u in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        cs = [sum(a * b for a, b in zip(u, ray)) + r for ray in fan.rays]
+        if min(cs) < 0:
+            continue
+        alpha_u = Fraction(r, max(cs))
+        if best is None or alpha_u < best[0]:
+            best = (alpha_u, u, cs.index(max(cs)))
+    return best
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +130,55 @@ class TestToricAlpha:
     def test_point_cap(self, fans):
         with pytest.raises(ValidationError, match="too large"):
             toric_alpha(fans["P3"], point_cap=10)
+
+    def test_chunked_scan_matches_point_by_point(self, fans, monkeypatch):
+        # a chunk of 7 points puts witness ties on both sides of chunk
+        # boundaries, so the first maximum must be kept across chunks
+        corpus = list(fans.values()) + random_fan_corpus(count=10)
+
+        def run(scan):
+            scans = {}  # (fan index, r) -> (alpha, witness u, witness ray)
+
+            def recorded(fan, P, r, point_cap):
+                scans[corpus.index(fan), r] = scan(fan, P, r, point_cap)
+                return scans[corpus.index(fan), r]
+
+            with monkeypatch.context() as mp:
+                mp.setattr(toric, "_alpha_at_dilation", recorded)
+                reports = [toric_alpha(fan) for fan in corpus]
+            return reports, scans
+
+        want, want_scans = run(point_by_point_scan)
+        monkeypatch.setattr(toric, "_SCAN_CHUNK", 7)
+        got, got_scans = run(toric._alpha_at_dilation)
+        assert got == want
+        assert got_scans == want_scans
+        assert len(got_scans) == 2 * len(corpus)  # r and 2r of every fan
+        assert all(type(a) is int for rep in got for a in rep.witness_u)
+
+    @staticmethod
+    def forbid_scan(monkeypatch):
+        # a scan that starts fails at once instead of running for hours
+        def decode(*args):
+            raise AssertionError("the box scan started")
+        monkeypatch.setattr(toric.np, "divmod", decode)
+
+    def test_int64_range_refused_before_the_scan(self, fans, monkeypatch):
+        # P2 sheared by [[1, N], [0, 1]]: the box of P has coordinates near
+        # 2N and a ray has entry -1-N, so <u, v_i> can pass 2^63
+        N = 2 ** 31
+        rays = [(a + N * b, b) for a, b in fans["P2"].rays]
+        fan = FanData(2, rays, fans["P2"].cones)
+        self.forbid_scan(monkeypatch)
+        with pytest.raises(InstanceTooLarge, match="range of int64"):
+            toric_alpha(fan, point_cap=10 ** 12)
+
+    def test_box_count_past_int64_refused(self, fans, monkeypatch):
+        # the box of 2^20 P3 has about 2^66 points, small coordinates
+        P, _ = polar_and_dilate(fans["P3"])
+        self.forbid_scan(monkeypatch)
+        with pytest.raises(InstanceTooLarge, match="range of int64"):
+            toric._alpha_at_dilation(fans["P3"], P, 2 ** 20, 2 ** 70)
 
 
 class TestVolume:
