@@ -15,8 +15,8 @@ from typing import Callable, TextIO
 from .errors import FrobwError, ValidationError
 from .ffkernel import PolynomialFp, PrimeField
 from .splitting import (GradedHypersurface, diagonal_hypersurface,
-                        fedder_is_fsplit, free_rank, m_threshold,
-                        membership_check, profile)
+                        fedder_is_fsplit, m_threshold, membership_check,
+                        profile)
 from .toric import FanData, anticanonical_volume, toric_alpha
 from .frontend import parse_polynomial
 
@@ -286,8 +286,8 @@ def criterion_11(rings: _Rings) -> tuple[bool, str]:
     oracle values; s_raw reported next to the known limit 15/124 (not
     reproducible exactly at this scale; no tolerance enforced)."""
     ring = rings.get(5, 4, 3)
-    a1 = free_rank(ring, 1)
-    a2 = free_rank(ring, 2)
+    a1 = profile(ring, 1).a_e
+    a2 = profile(ring, 2).a_e
     ok = a1 == FROZEN["cubic_p5_e1_a"] and a2 == FROZEN["cubic_p5_e2_a"]
     s1 = Fraction(a1, 5 ** 3)
     s2 = Fraction(a2, 5 ** 6)

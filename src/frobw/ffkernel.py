@@ -495,17 +495,22 @@ def _factor(A, p, r0, c0, c1, piv_cols, piv_invs, exact_cap) -> int:
     return k1 + k2
 
 
+def _eliminate(A: np.ndarray, p: int):
+    """Reduce A mod p in the float dtype that p allows and factor it in
+    place: returns the factored matrix, its pivot columns and the dtype's
+    exact range.  A is consumed."""
+    dtype, exact_cap = _dtype_for(p)
+    W = np.ascontiguousarray(A, dtype=dtype)
+    piv_cols: list[int] = []
+    if W.size:
+        _mod_inplace(W, p)
+        _factor(W, p, 0, 0, W.shape[1], piv_cols, [], exact_cap)
+    return W, piv_cols, exact_cap
+
+
 def rank_fp_dense(A: np.ndarray, p: int) -> int:
     """Rank over F_p of a dense integer matrix.  A is consumed."""
-    m, n = A.shape
-    dtype, exact_cap = _dtype_for(p)
-    if m == 0 or n == 0:
-        return 0
-    W = np.ascontiguousarray(A, dtype=dtype)
-    _mod_inplace(W, p)
-    piv_cols: list[int] = []
-    piv_invs: list[float] = []
-    return _factor(W, p, 0, 0, n, piv_cols, piv_invs, exact_cap)
+    return len(_eliminate(A, p)[1])
 
 
 def _usolve_unit_upper(U, B, p, exact_cap) -> None:
@@ -533,18 +538,12 @@ def kernel_fp_dense(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     Returns (rank, K) with K of shape (n, n - rank); columns of K span the
     null space.  A is consumed.
     """
-    m, n = A.shape
-    dtype, exact_cap = _dtype_for(p)
-    if m == 0 or n == 0:
-        return 0, np.eye(n, dtype=dtype)
-    W = np.ascontiguousarray(A, dtype=dtype)
-    _mod_inplace(W, p)
-    piv_cols: list[int] = []
-    piv_invs: list[float] = []
-    r = _factor(W, p, 0, 0, n, piv_cols, piv_invs, exact_cap)
+    n = A.shape[1]
+    W, piv_cols, exact_cap = _eliminate(A, p)
+    r = len(piv_cols)
     free_cols = sorted(set(range(n)) - set(piv_cols))
     if not free_cols:
-        return r, np.zeros((n, 0), dtype=dtype)
+        return r, np.zeros((n, 0), dtype=W.dtype)
     # the first r rows hold the echelon form, except that entries at pivot
     # columns below their own pivot store multipliers; zero those out
     U = W[:r].copy()
@@ -554,7 +553,7 @@ def kernel_fp_dense(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     Upp = U[:, piv_cols]
     F = np.ascontiguousarray(U[:, free_cols])
     _usolve_unit_upper(Upp, F, p, exact_cap)  # F <- Upp^-1 * U_free
-    K = np.zeros((n, len(free_cols)), dtype=dtype)
+    K = np.zeros((n, len(free_cols)), dtype=W.dtype)
     for i, pc in enumerate(piv_cols):
         K[pc] = (-F[i]) % p
     for j, fc in enumerate(free_cols):

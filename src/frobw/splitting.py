@@ -18,19 +18,18 @@ Phi_{e,m} is block diagonal for the grading of the monomials by their
 class modulo the lattice of exponent differences of G, so its rank is the
 sum of the ranks of its blocks, each certified on its own.
 
-Rank strategy: blocks at most twice as tall as wide are materialized
-densely and eliminated exactly.  Taller blocks, and blocks too large to
-materialize, compress the rows by a seeded hash into a sketch with 64
-spare rows, unless the built block, without its zero rows, is no taller
-than that sketch.  Sketch rank = column count is a proof of full column
-rank; otherwise the sketch's kernel basis is verified against the
-uncompressed block, which certifies the exact rank.  Failed verification
-retries with a larger sketch, so every returned value is certified.  Every
-block of one Phi_{e,m} with at most 128 nonzero columns is eliminated in
-one batch, one vectorized step per column (kernel_fp_batched): dense blocks
-in the tall orientation, sketched blocks as their first sketch.  Wider
-blocks go one at a time through the BLAS-blocked engine (rank_fp_dense,
-kernel_fp_dense).
+Rank strategy: one loop certifies every block (_certify).  A block at
+most twice as tall as wide that fits DENSE_CELLS is eliminated exactly.  A
+taller or larger block is compressed by a seeded row hash into a sketch
+with 64 spare rows, unless the built block, without its zero rows, is no
+taller than that sketch.  Sketch rank = column count is a proof of full
+column rank; otherwise the sketch's kernel basis is verified against the
+uncompressed block, which certifies the exact rank.  A sketch failing its
+check comes back to the loop as a larger sketch, so every returned value
+is certified.  A block's width alone picks its engine: blocks with at most
+128 nonzero columns are eliminated together, one vectorized step per
+column (kernel_fp_batched); wider blocks go one at a time through the
+BLAS-blocked engine (rank_fp_dense, kernel_fp_dense).
 """
 
 from __future__ import annotations
@@ -75,6 +74,9 @@ _BATCH_COLS = 128
 
 #: stack cells plus held nonzeros at which a batch is ranked and released
 _BATCH_CELLS = 1 << 20
+
+#: sketch sizes tried per block before certification gives up
+_ATTEMPTS = 4
 
 _HASH_A = np.uint64(0x9E3779B97F4A7C15)
 _HASH_B = np.uint64(0xBF58476D1CE4E5B9)
@@ -131,16 +133,17 @@ class GradedHypersurface:
     def _gq_arrays(self, e: int):
         """The terms of G^(p^e - 1) with every exponent <= q - 1, the only
         ones a product with a monomial can keep: exponent matrix (T x v,
-        int16), coefficient vector, and the base-q encodings of the
-        exponent vectors."""
+        in the smallest unsigned dtype that holds q - 1), coefficient
+        vector, and the base-q encodings of the exponent vectors."""
         if e not in self._gq_arrays_cache:
             q = self.field.p ** e
             items = sorted((exps, c) for exps, c in self.gq(e).terms.items()
                            if max(exps) < q)
             W = np.array([exps for exps, _ in items],
-                         dtype=np.int16).reshape(len(items), self.v)
+                         dtype=np.min_scalar_type(q - 1)).reshape(
+                             len(items), self.v)
             cw = np.array([c for _, c in items], dtype=np.int64)
-            keys = W.astype(np.int64) @ _key_weights(q, self.v)
+            keys = W @ _key_weights(q, self.v)
             self._gq_arrays_cache[e] = (W, cw, keys)
         return self._gq_arrays_cache[e]
 
@@ -166,11 +169,12 @@ class GradedHypersurface:
 
     def restricted_basis(self, m: int) -> np.ndarray:
         """Degree-m monomials not divisible by the leading term of G, as an
-        (n x v) int16 array in graded-colex order.  These monomials descend
-        to a basis of R_m."""
+        (n x v) array in graded-colex order, in the smallest unsigned dtype
+        that holds m.  These monomials descend to a basis of R_m."""
         lt, _ = self.G.leading_term()
         mons = exponent_array(self.v, m)
-        basis = mons[(mons < np.array(lt)).any(axis=1)].astype(np.int16)
+        basis = mons[(mons < np.array(lt)).any(axis=1)].astype(
+            np.min_scalar_type(m))
         if basis.shape[0] != self.dim_R(m):
             raise InternalCheckError(
                 f"basis bookkeeping: {basis.shape[0]} restricted monomials at "
@@ -379,24 +383,23 @@ def _build_block(ring: GradedHypersurface, e: int, U: np.ndarray) -> _Block:
         tt.append(t)
     jj = np.concatenate(jj)
     tt = np.concatenate(tt)
-    keys = (U.astype(np.int64) @ _key_weights(q, ring.v))[jj] + wkeys[tt]
+    keys = (U @ _key_weights(q, ring.v))[jj] + wkeys[tt]
     row_keys, rows = np.unique(keys, return_inverse=True)
     col_ids, cols = np.unique(jj, return_inverse=True)
     return _Block((row_keys.size, col_ids.size), rows.reshape(-1),
                   cols.reshape(-1), cw[tt], row_keys)
 
 
-def _sketched(rows: int, cols: int, split: bool) -> bool:
+def _sketched(rows: int, cols: int) -> bool:
     """Whether a block of this shape takes the sketch path: too many cells
-    to materialize, or, for a Phi split by its grading, so tall that a
-    (cols + 64)-row sketch is far cheaper than eliminating it.  An unsplit
-    Phi is eliminated densely up to DENSE_CELLS."""
-    return rows * cols > DENSE_CELLS or (split and rows > _TALL * cols)
+    to materialize, or so tall that a (cols + 64)-row sketch is far cheaper
+    than eliminating it."""
+    return rows * cols > DENSE_CELLS or rows > _TALL * cols
 
 
-def _estimate_flops(rows: int, cols: int, split: bool) -> float:
+def _estimate_flops(rows: int, cols: int) -> float:
     """Cubic elimination work estimate for the path a block takes."""
-    if not _sketched(rows, cols, split):
+    if not _sketched(rows, cols):
         return min(rows, cols) * rows * cols / 3.0
     r = cols + 64
     return float(cols) * cols * r / 3.0
@@ -412,11 +415,10 @@ def _check_caps(ring: GradedHypersurface, e: int, m: int,
             f"instance too large at m={m}: matrix is {rows} x {cols}, "
             f"side cap {MAX_MATRIX_SIDE}")
     cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
-    split = ring._lattice is not None
     shapes = _layout(ring, e, m).shapes
-    est = sum(_estimate_flops(r, c, split) for r, c in shapes)
+    est = sum(_estimate_flops(r, c) for r, c in shapes)
     if est > cap:
-        r, c = max(shapes, key=lambda s: _estimate_flops(*s, split))
+        r, c = max(shapes, key=lambda s: _estimate_flops(*s))
         raise InstanceTooLarge(
             f"instance too large at m={m}: estimated {est:.2e} elimination "
             f"operations on a {rows} x {cols} matrix in {len(shapes)} "
@@ -435,7 +437,9 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
     if key in ring._b_cache:
         return ring._b_cache[key]
     _check_caps(ring, e, m, work_cap)
-    b = _rank_phi(ring, e, m)
+    shapes = _layout(ring, e, m).shapes
+    b = _certify(ring, e, m, [(k, 0 if _sketched(*s) else None)
+                              for k, s in enumerate(shapes)])
     ring._b_cache[key] = b
     # the cached rank replaces the layout and its basis
     ring._layout_cache.pop(key, None)
@@ -443,102 +447,94 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
     return b
 
 
-def _rank_phi(ring: GradedHypersurface, e: int, m: int) -> int:
-    """Sum of the certified block ranks.  Blocks with at most _BATCH_COLS
-    nonzero columns are ranked together by _rank_batch; wider blocks take
-    _rank_block."""
+def _certify(ring: GradedHypersurface, e: int, m: int,
+             jobs: list[tuple[int, int | None]]) -> int:
+    """Sum of the certified ranks of the blocks of Phi_{e,m} that jobs name.
+
+    A job is a block of the layout with its sketch attempt, or None for a
+    block eliminated exactly; a block with no more nonzero rows than its
+    first sketch is eliminated exactly.  The block's nonzero
+    columns pick the engine: at most _BATCH_COLS go to kernel_fp_batched,
+    flushed at _BATCH_CELLS stack cells plus held nonzeros; wider blocks go
+    one at a time to rank_fp_dense (exact) or kernel_fp_dense (sketch).  A
+    full-rank sketch is a proof, and so is a sketch kernel that kills the
+    true block; a sketch failing its check comes back at attempt + 1.
+    """
     p = ring.field.p
-    split = ring._lattice is not None
     layout = _layout(ring, e, m)
+    retries, queue, cells = [], [], 0
+
+    def settle(k, attempt, rank, K, true) -> int:
+        """The certified rank, or 0 with the block queued for a retry.
+        true is the block's CSR matrix, or the block when its matrix is
+        built only if the check needs it."""
+        if attempt is None or rank == K.shape[0] or _kernel_verifies(
+                _csr(true) if isinstance(true, _Block) else true, K, p):
+            return rank
+        if (attempt + 1 == _ATTEMPTS
+                or _sketch_rows(K.shape[0], attempt + 1) > MAX_MATRIX_SIDE):
+            raise InternalCheckError(
+                f"sketch certification failed for e={e}, m={m} after "
+                f"enlarging the sketch; falsifying sketch size "
+                f"{_sketch_rows(K.shape[0], attempt)}")
+        retries.append((k, attempt + 1))
+        return 0
+
+    def flush() -> int:
+        if not queue:  # the batched engine refuses large primes up front
+            return 0
+        ranks = kernel_fp_batched([A for _, _, A, _ in queue], p)
+        return sum(settle(k, attempt, *rK, true)
+                   for (k, attempt, _, true), rK in zip(queue, ranks))
+
     total = 0
-    batch, cells = [], 0
-    for (rows, cols), idx in zip(layout.shapes, layout.columns):
+    for k, attempt in jobs:
+        (rows, cols), idx = layout.shapes[k], layout.columns[k]
         if rows == 0 or cols == 0:
             continue
         blk = _build_block(ring, e, layout.basis[idx])
-        if blk.shape[0] > rows or idx.size != cols:
-            raise InternalCheckError(
-                f"block bookkeeping at e={e}, m={m}: built {blk.shape[0]} x "
-                f"{idx.size}, counted {rows} x {cols}")
         nrows, ncols = blk.shape
+        if nrows > rows or idx.size != cols:
+            raise InternalCheckError(
+                f"block bookkeeping at e={e}, m={m}: built {nrows} x "
+                f"{idx.size}, counted {rows} x {cols}")
         if nrows == 0:
             continue
-        # the row bound counts every target of the class; a built block no
-        # taller than its sketch is eliminated as it is, exactly
-        sketched = (_sketched(rows, cols, split)
-                    and nrows > _sketch_rows(ncols, 0))
+        # the row bound that chose the sketch counts every target of the
+        # class, not only the built rows
+        if attempt == 0 and nrows <= _sketch_rows(ncols, 0):
+            attempt = None
+        # a wide block's matrix lives only as long as its engine call
         if ncols > _BATCH_COLS:
-            total += _rank_block(ring, e, m, blk, sketched)
+            if attempt is None:
+                total += rank_fp_dense(_dense(blk, tall=False), p)
+            else:
+                total += settle(k, attempt, *kernel_fp_dense(
+                    _sketch(ring, e, m, blk, attempt), p), blk)
             continue
-        if sketched:
-            A = _sketch(blk, _sketch_rows(ncols, 0),
-                        _sketch_seed(ring, e, m, 0), p)
-            batch.append((A, idx, _csr(blk)))
-            cells += blk.vals.size
+        if attempt is None:
+            A = _dense(blk, tall=True)
+            queue.append((k, None, A, None))
         else:
-            A = _dense(blk)
-            batch.append((A if nrows >= ncols else A.T, None, None))
+            A = _sketch(ring, e, m, blk, attempt)
+            queue.append((k, attempt, A, _csr(blk)))
+            cells += blk.vals.size
         cells += A.size
         if cells > _BATCH_CELLS:
-            total += _rank_batch(ring, e, m, layout.basis, batch)
-            batch, cells = [], 0
-    return total + _rank_batch(ring, e, m, layout.basis, batch)
+            total += flush()
+            queue, cells = [], 0
+    total += flush()
+    return total + _certify(ring, e, m, retries) if retries else total
 
 
-def _rank_batch(ring: GradedHypersurface, e: int, m: int, basis: np.ndarray,
-                batch: list) -> int:
-    """Sum of the certified ranks of a batch of blocks, eliminated together
-    by kernel_fp_batched.  A batch entry is a dense block in the tall
-    orientation, or the first sketch of a block with the block's columns
-    into the basis and its true matrix, against which the sketch's kernel
-    is verified.  A sketch that fails the check goes on to the larger
-    sketches of _rank_block."""
-    if not batch:
-        return 0
-    p = ring.field.p
-    total = 0
-    results = kernel_fp_batched([A for A, _, _ in batch], p)
-    for (rank, K), (_, idx, true) in zip(results, batch):
-        if true is None or rank == K.shape[0]:
-            total += rank  # exact, or a full-rank sketch: a proof
-        elif _kernel_verifies(true, K, p):
-            total += rank  # ker(sketch) = ker(block): the ranks agree
-        else:
-            blk = _build_block(ring, e, basis[idx])
-            total += _rank_block(ring, e, m, blk, True, first_attempt=1)
-    return total
-
-
-def _rank_block(ring: GradedHypersurface, e: int, m: int, blk: _Block,
-                sketched: bool, first_attempt: int = 0) -> int:
-    """Certified rank of one block, dense or by sketch and kernel check."""
-    p = ring.field.p
-    nrows, ncols = blk.shape
-    if nrows == 0:
-        return 0
-    if not sketched:
-        A = _dense(blk)
-        # same rank; elimination runs faster on the wide orientation
-        return rank_fp_dense(A.T if nrows > ncols else A, p)
-    for attempt in range(first_attempt, 4):
-        r = _sketch_rows(ncols, attempt)
-        seed = _sketch_seed(ring, e, m, attempt)
-        rank_s, K = kernel_fp_dense(_sketch(blk, r, seed, p), p)
-        if rank_s == ncols:
-            return ncols  # rank(sketch) <= rank(block) <= cols forces equality
-        if _kernel_verifies(_csr(blk), K, p):
-            return rank_s  # ker(sketch) = ker(block), so the ranks agree
-        if _sketch_rows(ncols, attempt + 1) > MAX_MATRIX_SIDE:
-            break
-    raise InternalCheckError(
-        f"sketch certification failed for e={e}, m={m} after enlarging the "
-        f"sketch; falsifying sketch size {r}")
-
-
-def _dense(blk: _Block) -> np.ndarray:
+def _dense(blk: _Block, tall: bool) -> np.ndarray:
+    """The block as a dense matrix, transposed when that makes it tall
+    (for the batched engine) or wide (for the blocked engine, which runs
+    faster on the wide orientation); the rank is the same."""
     A = np.zeros(blk.shape)
     A[blk.rows, blk.cols] = blk.vals
-    return A
+    nrows, ncols = blk.shape
+    return A.T if (nrows < ncols if tall else nrows > ncols) else A
 
 
 def _csr(blk: _Block) -> scipy.sparse.csr_matrix:
@@ -551,17 +547,20 @@ def _sketch_rows(ncols: int, attempt: int) -> int:
     return (ncols + 128) * 2 ** attempt - 64
 
 
-def _sketch(blk: _Block, r: int, seed: int, p: int) -> np.ndarray:
-    """Row compression of a block: every row is hashed to one of r buckets
-    with a nonzero key-dependent coefficient.  Deterministic in (block, r,
-    seed)."""
+def _sketch(ring: GradedHypersurface, e: int, m: int, blk: _Block,
+            attempt: int) -> np.ndarray:
+    """Row compression of a block of Phi_{e,m} at an attempt: every row is
+    hashed to one of _sketch_rows buckets with a nonzero key-dependent
+    coefficient.  Deterministic in (block, e, m, attempt)."""
+    p = ring.field.p
+    ncols = blk.shape[1]
+    r = _sketch_rows(ncols, attempt)
+    sd = np.uint64(_sketch_seed(ring, e, m, attempt))
     keys = blk.row_keys.astype(np.uint64)
-    sd = np.uint64(seed)
     buckets = ((keys * _HASH_A + sd) >> np.uint64(32)).astype(np.int64) % r
     mix = ((keys * _HASH_B + sd) >> np.uint64(29)).astype(np.int64)
     coeffs = 1 + mix % (p - 1) if p > 2 else np.ones_like(mix)
     vals = (blk.vals * coeffs[blk.rows]) % p
-    ncols = blk.shape[1]
     S = np.bincount(buckets[blk.rows] * ncols + blk.cols,
                     weights=vals.astype(np.float64), minlength=r * ncols)
     return np.remainder(S, p, out=S).reshape(r, ncols)
@@ -649,29 +648,6 @@ def m_threshold(ring: GradedHypersurface, e: int,
             f"I_e(m) != 0 at level e={e}")
 
 
-def free_rank(ring: GradedHypersurface, e: int,
-              work_cap: float | None = None, threads: int = 1) -> int:
-    """a_e = sum of b_e(m) over 0 <= m <= M_e with M_e = (q-1)(v-delta).
-
-    The cutoff is exact for Fano hypersurfaces: beyond M_e there is no
-    reduced target monomial at all, which the tail assertion confirms.
-    """
-    if ring.fano_coindex <= 0:
-        raise ValidationError(
-            f"non-Fano: free-rank sum not implemented (v-delta = "
-            f"{ring.fano_coindex})")
-    if not fedder_is_fsplit(ring, e):
-        raise ValidationError(f"not F-split at level e={e}")
-    q = ring.field.p ** e
-    M = (q - 1) * ring.fano_coindex
-    tail_rows = n_monomials_capped(ring.v, M + 1 + ring.delta * (q - 1), q - 1)
-    if tail_rows != 0:
-        raise InternalCheckError(
-            f"tail not zero: {tail_rows} reduced targets at m={M + 1}")
-    values = _b_values(ring, e, range(M + 1), work_cap, threads)
-    return sum(values)
-
-
 def _b_values(ring: GradedHypersurface, e: int, ms, work_cap, threads):
     ms = list(ms)
     for m in ms:
@@ -715,6 +691,13 @@ def profile(ring: GradedHypersurface, e: int,
         raise ValidationError(f"not F-split at level e={e}")
     q = ring.field.p ** e
     M = (q - 1) * ring.fano_coindex
+    # beyond M_e there is no reduced target monomial, so the b-values
+    # up to M_e are the whole profile and a_e is their sum
+    tail_rows = n_monomials_capped(ring.v, M + 1 + ring.delta * (q - 1),
+                                   q - 1)
+    if tail_rows != 0:
+        raise InternalCheckError(
+            f"tail not zero: {tail_rows} reduced targets at m={M + 1}")
     b = _b_values(ring, e, range(M + 1), work_cap, threads)
     dims = [ring.dim_R(m) for m in range(M + 1)]
     # scan monotonicity: I_e(m) != 0 implies I_e(m+1) != 0

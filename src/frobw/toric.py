@@ -267,7 +267,7 @@ def toric_alpha(fan: FanData,
         raise InternalCheckError(
             f"alpha = {alpha} exceeds 1/2, impossible for a toric Fano "
             f"variety; witness u={u}")
-    volume = anticanonical_volume(fan)
+    volume = anticanonical_volume(fan, P)
     d = fan.d
     witness_frac = tuple(Fraction(a, r) for a in u)
     return ToricAlphaReport(
@@ -281,15 +281,18 @@ def toric_alpha(fan: FanData,
     )
 
 
-def anticanonical_volume(fan: FanData) -> Fraction:
-    """vol(-K_X) = d! * vol(P), exact.
+def anticanonical_volume(fan: FanData,
+                         P: RationalPolytope | None = None) -> Fraction:
+    """vol(-K_X) = d! * vol(P), exact, for the polar polytope P of the fan,
+    computed from the fan unless given.
 
     P is coned from the interior origin over its facets; each facet (the
     tight locus of one ray) is triangulated recursively by pivoting on its
     lexicographically smallest vertex, and each resulting simplex
     contributes |det| of its vertex matrix.
     """
-    P, _ = polar_and_dilate(fan)
+    if P is None:
+        P, _ = polar_and_dilate(fan)
     d = fan.d
     total = Fraction(0)
     for ray in fan.rays:

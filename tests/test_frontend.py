@@ -245,6 +245,14 @@ class TestExitCodes:
                          "--poly", "x0^2+x1^2+x2^2"]) == 3
         assert time.monotonic() - t0 < 5
 
+    @pytest.mark.parametrize("p", [32771, 40009])
+    def test_exponents_past_int16_refused(self, p, capsys):
+        # G^(p-1) has exponents p - 1 >= 2^15; the whole Phi is refused by
+        # its side cap, not by an overflow
+        assert self.run(["split", "--p", str(p), "--poly", "x0*x1",
+                         "--vars", "x0,x1,x2"]) == 3
+        assert "side cap" in capsys.readouterr().err
+
     def test_unexpected_exception_exit_code(self, monkeypatch, capsys):
         def broken(args, stream):
             raise RuntimeError("boom")

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse
 
 import frobw.splitting as splitting
-from frobw.errors import InstanceTooLarge, ValidationError
+from frobw.errors import InstanceTooLarge, InternalCheckError, ValidationError
 from frobw.ffkernel import PolynomialFp, PrimeField
 from frobw.frozen_values import FROZEN
 from frobw.oracle import naive_b_dimension
@@ -17,7 +17,6 @@ from frobw.splitting import (
     diagonal_hypersurface,
     fano_report,
     fedder_is_fsplit,
-    free_rank,
     m_threshold,
     membership_check,
     profile,
@@ -32,6 +31,13 @@ def quadric_p3():
 @pytest.fixture(scope="module")
 def cubic_p5():
     return diagonal_hypersurface(5, 4, 3)
+
+
+def ungraded_quadric():
+    F = PrimeField(3)
+    G = PolynomialFp(F, 4, {(2, 0, 0, 0): 1, (1, 1, 0, 0): 1,
+                            (0, 1, 1, 0): 1, (0, 0, 1, 1): 1})
+    return GradedHypersurface(F, ("x0", "x1", "x2", "x3"), G)
 
 
 def elliptic_cone(p):
@@ -116,21 +122,59 @@ class TestBDimension:
                                       expect)
 
     def test_failed_batch_check_falls_back(self, monkeypatch):
-        # a sketch kernel from the batch that fails its check is retried
-        # by the enlarged sketches of the single-block loop
+        # a narrow sketch whose kernel check is refused comes back to the
+        # batched engine as a larger sketch at attempt 1
         ring = diagonal_hypersurface(3, 4, 2)
         calls = self.spy_engines(monkeypatch)
-        verify = splitting._kernel_verifies
-        refused = []
-
-        def refuse_first(A, K, p):
-            if not refused:
-                refused.append(A.shape)
-                return False
-            return verify(A, K, p)
-        monkeypatch.setattr(splitting, "_kernel_verifies", refuse_first)
+        attempts = self.spy_attempts(monkeypatch)
+        self.refuse_checks(monkeypatch, 1)
         assert b_dimension(ring, 3, 30) == 23 ** 2
-        assert refused and calls.count("kernel_fp_dense") == 1
+        assert attempts == [0] * 8 + [1]
+        refused = calls.index("_kernel_verifies")
+        assert "kernel_fp_batched" in calls[refused:]
+        assert "kernel_fp_dense" not in calls
+
+    def test_failed_wide_check_retries(self, monkeypatch):
+        # G's exponent differences span the degree-0 lattice, so Phi_{3,28}
+        # is one block; with no batch it is sketched by kernel_fp_dense, and
+        # a refused check sketches it again at attempt 1
+        ring = ungraded_quadric()
+        monkeypatch.setattr(splitting, "_BATCH_COLS", 0)
+        calls = self.spy_engines(monkeypatch)
+        attempts = self.spy_attempts(monkeypatch)
+        self.refuse_checks(monkeypatch, 1)
+        assert b_dimension(ring, 3, 28) == 25 ** 2
+        assert attempts == [0, 1]
+        assert calls.count("kernel_fp_dense") == 2
+        assert "kernel_fp_batched" not in calls
+
+    @pytest.mark.parametrize("batch_cols", [128, 0])
+    def test_refused_checks_raise(self, batch_cols, monkeypatch):
+        ring = diagonal_hypersurface(3, 4, 2)
+        monkeypatch.setattr(splitting, "_BATCH_COLS", batch_cols)
+        calls = self.spy_engines(monkeypatch)
+        attempts = self.spy_attempts(monkeypatch)
+        self.refuse_checks(monkeypatch, 10 ** 9)
+        with pytest.raises(InternalCheckError,
+                           match="sketch certification failed"):
+            b_dimension(ring, 3, 30)
+        assert max(attempts) == splitting._ATTEMPTS - 1
+        unused = "kernel_fp_dense" if batch_cols else "kernel_fp_batched"
+        assert unused not in calls
+
+    def test_ungraded_phi_is_sketched_by_shape(self, monkeypatch):
+        # an ungraded Phi is one block and follows the shape rule of every
+        # block: it is more than twice as tall as wide, and sketched, up to
+        # degree 8 only
+        ring = ungraded_quadric()
+        attempts = self.spy_attempts(monkeypatch)
+        sketched = []
+        for m in range(17):
+            attempts.clear()
+            assert b_dimension(ring, 2, m) == naive_b_dimension(ring, 2, m)
+            if attempts:
+                sketched.append(m)
+        assert sketched == list(range(9))
 
     def test_block_no_taller_than_its_sketch_is_not_sketched(self, cubic_p5,
                                                             monkeypatch):
@@ -155,6 +199,28 @@ class TestBDimension:
         assert pr.a_e == 10425
         assert "_kernel_verifies" in calls
         assert "kernel_fp_dense" not in calls
+
+    @staticmethod
+    def spy_attempts(monkeypatch) -> list[int]:
+        attempts = []
+        seed = splitting._sketch_seed
+
+        def counted(ring, e, m, attempt):
+            attempts.append(attempt)
+            return seed(ring, e, m, attempt)
+        monkeypatch.setattr(splitting, "_sketch_seed", counted)
+        return attempts
+
+    @staticmethod
+    def refuse_checks(monkeypatch, n: int) -> None:
+        """Make the first n kernel checks fail."""
+        verify = splitting._kernel_verifies
+        left = [n]
+
+        def refuse(A, K, p):
+            left[0] -= 1
+            return left[0] < 0 and verify(A, K, p)
+        monkeypatch.setattr(splitting, "_kernel_verifies", refuse)
 
     @staticmethod
     def spy_engines(monkeypatch) -> list[str]:
@@ -273,6 +339,20 @@ class TestThresholds:
         assert m_threshold(diagonal_hypersurface(7, 4, 3), 1) \
             == FROZEN["cubic_p7_e1_m"]
 
+    def test_exponents_past_int16(self):
+        # G^(p-1) = (x0 x1)^40008 has exponents past 2^15; x0 is a zero
+        # column at degree 1, so no rank is computed
+        F = PrimeField(40009)
+        ring = GradedHypersurface(F, ("x0", "x1", "x2"),
+                                  PolynomialFp(F, 3, {(1, 1, 0): 1}))
+        assert fedder_is_fsplit(ring, 1)
+        assert m_threshold(ring, 1) == 0
+        assert not ring._b_cache
+        # a basis of degree past 2^15 keeps its exponents
+        line = GradedHypersurface(F, ("x0", "x1"),
+                                  PolynomialFp(F, 2, {(1, 0): 1}))
+        assert line.restricted_basis(40000).tolist() == [[0, 40000]]
+
     def test_not_fsplit_raises(self):
         with pytest.raises(ValidationError, match="not F-split"):
             m_threshold(elliptic_cone(5), 1)
@@ -298,8 +378,8 @@ class TestProfile:
             profile(cubic_p5, 1, prev=pr1)  # wrong level chain
 
     def test_free_rank_matches_profile_sum(self, cubic_p5):
-        assert free_rank(cubic_p5, 1) == FROZEN["cubic_p5_e1_a"]
-        assert free_rank(cubic_p5, 2) == FROZEN["cubic_p5_e2_a"]
+        assert profile(cubic_p5, 1).a_e == FROZEN["cubic_p5_e1_a"]
+        assert profile(cubic_p5, 2).a_e == FROZEN["cubic_p5_e2_a"]
 
     def test_threads_agree(self, quadric_p3):
         serial = profile(quadric_p3, 2, threads=1)
@@ -311,8 +391,6 @@ class TestProfile:
         quartic = diagonal_hypersurface(5, 4, 4)
         with pytest.raises(ValidationError, match="non-Fano"):
             profile(quartic, 1)
-        with pytest.raises(ValidationError, match="non-Fano"):
-            free_rank(quartic, 1)
 
 
 class TestFedderAndMembership:

@@ -127,6 +127,30 @@ class TestToricAlpha:
         assert rep.witness_u == (-1, -1)  # lex-smallest minimizer
         assert rep.witness_ray == 2
 
+    @pytest.mark.parametrize("name,report", [
+        ("P1", (1, "1/2", (-1,), 1, True, "2", "1/2")),
+        ("P2", (1, "1/3", (-1, -1), 2, True, "9", "3/8")),
+        ("P1xP1", (1, "1/2", (-1, -1), 1, True, "8", "1/3")),
+        ("P112", (1, "1/4", (-1, -1), 2, True, "8", "1/3")),
+        ("P3", (2, "1/4", (-2, -2, -2), 3, True, "64", "1/3")),
+        ("P1xP1xP1", (2, "1/2", (-2, -2, -2), 1, True, "48", "1/4")),
+        ("P1xP2", (2, "1/3", (-2, -2, -2), 4, True, "54", "9/32")),
+    ])
+    def test_polytope_solved_once(self, fans, name, report, monkeypatch):
+        # the volume reuses the polytope of the alpha scan
+        solved = []
+
+        def counted(fan):
+            solved.append(fan)
+            return polar_and_dilate(fan)
+        monkeypatch.setattr(toric, "polar_and_dilate", counted)
+        rep = toric_alpha(fans[name])
+        assert len(solved) == 1
+        r, alpha, u, ray, vertex, volume, bound = report
+        assert rep == toric.ToricAlphaReport(
+            r, Fraction(alpha), u, ray, vertex, Fraction(volume),
+            Fraction(bound))
+
     def test_point_cap(self, fans):
         with pytest.raises(ValidationError, match="too large"):
             toric_alpha(fans["P3"], point_cap=10)
