@@ -18,23 +18,41 @@ Phi_{e,m} is block diagonal for the grading of the monomials by their
 class modulo the lattice of exponent differences of G, so its rank is the
 sum of the ranks of its blocks, each certified on its own.
 
-Rank strategy: one loop certifies every block (_certify).  A block at
-most twice as tall as wide that fits DENSE_CELLS is eliminated exactly.  A
-taller or larger block is compressed by a seeded row hash into a sketch
-with 64 spare rows, unless the built block, without its zero rows, is no
-taller than that sketch.  Sketch rank = column count is a proof of full
-column rank; otherwise the sketch's kernel basis is verified against the
-uncompressed block, which certifies the exact rank.  A sketch failing its
-check comes back to the loop as a larger sketch, so every returned value
-is certified.  A block's width alone picks its engine: blocks with at most
-128 nonzero columns are eliminated together, one vectorized step per
-column (kernel_fp_batched); wider blocks go one at a time through the
-BLAS-blocked engine (rank_fp_dense, kernel_fp_dense).
+Rank strategy: blocks in one orbit of the symmetries of G have equal rank,
+so only the first block of each orbit is ranked, and its certified rank
+counts once for every block of the orbit.  A symmetry is a permutation
+sigma of the variables (w -> w[sigma] on exponent vectors) with
+sigma(supp G) = supp G and G(t * sigma x) = lambda * G(x) for a torus
+rescaling t over the algebraic closure of F_p.  Then f -> f(t * sigma x)
+maps class [u] mod L onto [sigma u], G * S_{m-delta} onto itself and the
+deleted monomials onto deleted monomials, so the blocks of [u] and
+[sigma u] agree up to invertible row and column scalings: rank does not
+change under field extension, and the restricted columns of a class span a
+complement of its part of G * S_{m-delta}, since reduction by G stays in a
+class.  Such t and lambda exist when the exponent vectors of G are
+linearly independent; otherwise the coefficients must agree after sigma up
+to one global scalar (t = 1).  The symmetries are searched once per ring,
+for v <= 7 and only when Phi splits.  The duality b(m) = b(M_e - m) is
+never used.
+
+One loop certifies every ranked block (_certify).  A block at most twice as
+tall as wide that fits DENSE_CELLS is eliminated exactly.  A taller or
+larger block is compressed by a seeded row hash into a sketch with 64 spare
+rows, unless the built block, without its zero rows, is no taller than that
+sketch.  Sketch rank = column count is a proof of full column rank;
+otherwise the sketch's kernel basis is verified against the uncompressed
+block, which certifies the exact rank.  A sketch failing its check comes
+back to the loop as a larger sketch, so every returned value is certified.
+A block's width alone picks its engine: blocks with at most 128 nonzero
+columns are eliminated together, one vectorized step per column
+(kernel_fp_batched); wider blocks go one at a time through the BLAS-blocked
+engine (rank_fp_dense, kernel_fp_dense).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +96,9 @@ _BATCH_CELLS = 1 << 20
 #: sketch sizes tried per block before certification gives up
 _ATTEMPTS = 4
 
+#: the symmetries of G are searched among the v! permutations up to this v
+_SYMMETRY_VARS = 7
+
 _HASH_A = np.uint64(0x9E3779B97F4A7C15)
 _HASH_B = np.uint64(0xBF58476D1CE4E5B9)
 
@@ -108,6 +129,9 @@ class GradedHypersurface:
         exps = sorted(G.terms)
         self._w0 = np.array(exps[0], dtype=np.int64)
         self._lattice = _grading_lattice(exps)
+        self._symmetries = (_symmetries(G, self._lattice)
+                            if self._lattice is not None
+                            and self.v <= _SYMMETRY_VARS else [])
         self._gq_cache: dict[int, PolynomialFp] = {}
         self._gq_arrays_cache: dict[int, tuple] = {}
         self._term_masks_cache: dict[int, np.ndarray] = {}
@@ -133,8 +157,8 @@ class GradedHypersurface:
     def _gq_arrays(self, e: int):
         """The terms of G^(p^e - 1) with every exponent <= q - 1, the only
         ones a product with a monomial can keep: exponent matrix (T x v,
-        in the smallest unsigned dtype that holds q - 1), coefficient
-        vector, and the base-q encodings of the exponent vectors."""
+        in the smallest unsigned dtype that holds q - 1) and coefficient
+        vector."""
         if e not in self._gq_arrays_cache:
             q = self.field.p ** e
             items = sorted((exps, c) for exps, c in self.gq(e).terms.items()
@@ -143,15 +167,14 @@ class GradedHypersurface:
                          dtype=np.min_scalar_type(q - 1)).reshape(
                              len(items), self.v)
             cw = np.array([c for _, c in items], dtype=np.int64)
-            keys = W @ _key_weights(q, self.v)
-            self._gq_arrays_cache[e] = (W, cw, keys)
+            self._gq_arrays_cache[e] = (W, cw)
         return self._gq_arrays_cache[e]
 
     def _term_masks(self, e: int) -> np.ndarray:
         """Bitsets over the terms of _gq_arrays(e): bit t of row [i, c] is
         set when the exponent of x_i in term t is <= c, for 0 <= c < q."""
         if e not in self._term_masks_cache:
-            W, _, _ = self._gq_arrays(e)
+            W, _ = self._gq_arrays(e)
             q = self.field.p ** e
             nbytes = 8 * -(-W.shape[0] // 64)
             if self.v * q * nbytes > _TERM_MASK_BYTES:
@@ -235,6 +258,44 @@ def _grading_lattice(exps: list[tuple[int, ...]]):
     return basis
 
 
+# ---------------------------------------------------------------------------
+# the symmetries of G, whose orbits of blocks have equal ranks
+
+def _symmetries(G: PolynomialFp, lattice) -> list[tuple[int, ...]]:
+    """Generators of the group of symmetries of G (see the rank strategy
+    above), found among the permutations that keep each variable's
+    multiset of exponents; lattice is G's grading lattice."""
+    exps = sorted(G.terms)
+    v, p = G.nvars, G.field.p
+    index = {w: t for t, w in enumerate(exps)}
+    c = [G.terms[w] for w in exps]
+    free = len(exps) == 1 + len(lattice)  # linearly independent exponents
+    columns = [sorted(w[i] for w in exps) for i in range(v)]
+    group = []
+    for perm in itertools.permutations(range(v)):
+        if any(columns[j] != columns[i] for i, j in enumerate(perm)):
+            continue
+        img = [index.get(tuple(w[j] for j in perm)) for w in exps]
+        if None in img:
+            continue
+        if free or all(c[s] * c[0] % p == ct * c[img[0]] % p
+                       for s, ct in zip(img, c)):
+            group.append(perm)
+    # greedy generators: a permutation joins when the ones before it do
+    # not generate it
+    gens, span = [], {tuple(range(v))}
+    for perm in group:
+        if perm in span:
+            continue
+        gens.append(perm)
+        frontier = list(span)
+        while frontier:
+            new = {tuple(a[j] for j in g) for a in frontier for g in gens}
+            frontier = list(new - span)
+            span |= new
+    return gens
+
+
 def _class_labels(ring: GradedHypersurface, X: np.ndarray) -> np.ndarray:
     """Label each row of X by its class modulo L; labels number the classes
     in the lexicographic order of their canonical representatives."""
@@ -265,13 +326,16 @@ def _dense_ranks(codes: np.ndarray) -> tuple[int, np.ndarray]:
 class _Layout(NamedTuple):
     """The columns of Phi_{e,m} and how they split into blocks: the
     restricted basis of degree m and, for each block, its (row bound,
-    column count) and the indices of its columns into the basis.  Counted
-    from the monomials; Phi is not built.  The row bound counts every
-    reduced target monomial of the block's class."""
+    column count), the indices of its columns into the basis and its
+    weight: the size of its symmetry orbit for the orbit's first block, 0
+    for the others, whose equal rank that weight counts.  Counted from the
+    monomials; Phi is not built.  The row bound counts every reduced target
+    monomial of the block's class."""
 
     basis: np.ndarray
     shapes: list[tuple[int, int]]
     columns: list[np.ndarray]
+    weights: list[int]
 
 
 def _basis(ring: GradedHypersurface, m: int) -> np.ndarray:
@@ -292,7 +356,7 @@ def _layout(ring: GradedHypersurface, e: int, m: int) -> _Layout:
         cols = basis.shape[0]
         rows = n_monomials_capped(ring.v, m + ring.delta * (q - 1), q - 1)
         if ring._lattice is None or rows == 0 or cols == 0:
-            layout = _Layout(basis, [(rows, cols)], [np.arange(cols)])
+            layout = _Layout(basis, [(rows, cols)], [np.arange(cols)], [1])
         else:
             targets = (exponent_array(ring.v, m + ring.delta * (q - 1), q - 1)
                        - (q - 1) * ring._w0)
@@ -304,12 +368,42 @@ def _layout(ring: GradedHypersurface, e: int, m: int) -> _Layout:
             order = np.argsort(col_labels, kind="stable")
             bounds = np.concatenate(([0], np.cumsum(per_col)))
             live = np.flatnonzero(per_col)
+            shapes = [(int(per_row[c]), int(per_col[c])) for c in live]
             layout = _Layout(
-                basis,
-                [(int(per_row[c]), int(per_col[c])) for c in live],
-                [order[bounds[c]:bounds[c + 1]] for c in live])
+                basis, shapes,
+                [order[bounds[c]:bounds[c + 1]] for c in live],
+                _orbit_weights(ring, basis[order[bounds[live]]], shapes))
         ring._layout_cache[key] = layout
     return ring._layout_cache[key]
+
+
+def _orbit_weights(ring: GradedHypersurface, firsts: np.ndarray,
+                   shapes: list[tuple[int, int]]) -> list[int]:
+    """Block weights from the orbits of the blocks under ring._symmetries,
+    given the first column of each block (whose class is the block's)."""
+    n = len(shapes)
+    perms = np.array(ring._symmetries, dtype=np.intp).reshape(-1, ring.v)
+    images = firsts[:, perms].reshape(-1, ring.v)
+    labels = _class_labels(ring, np.concatenate([firsts, images]))
+    block = np.full(int(labels.max()) + 1, -1)
+    block[labels[:n]] = np.arange(n)
+    image = block[labels[n:]].reshape(n, len(perms))
+    counted = np.array(shapes).reshape(n, 2)
+    bad = (image < 0) | (counted[image] != counted[:, None]).any(axis=2)
+    if bad.any():
+        k = int(np.argwhere(bad)[0, 0])
+        raise InternalCheckError(
+            f"orbit bookkeeping: a symmetry of G maps block {k}, counted "
+            f"{shapes[k]}, to no block of the same counted shape")
+    # the generators of a finite group reach a block's whole orbit, so
+    # each block ends up labelled by the first block of its orbit
+    orbit = np.arange(n)
+    while True:
+        first = np.minimum(orbit, orbit[image].min(axis=1, initial=n))
+        if (first == orbit).all():
+            break
+        orbit = first
+    return np.bincount(orbit, minlength=n).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +418,8 @@ _TERM_MASK_BYTES = 1 << 28
 
 def _key_weights(q: int, v: int) -> np.ndarray:
     """Base-q positional weights: reduced exponent vectors encode as keys
-    whose order is the colex order."""
+    below q^v whose order is the colex order.  Only formed once _check_caps
+    has refused q^v >= 2^63."""
     return (q ** np.arange(v)).astype(np.int64)
 
 
@@ -372,7 +467,7 @@ def _build_block(ring: GradedHypersurface, e: int, U: np.ndarray) -> _Block:
     coefficient of w in G^(q-1) at the row of U[j] + w, for every w with
     U[j] + w <= q - 1."""
     q = ring.field.p ** e
-    W, cw, wkeys = ring._gq_arrays(e)
+    W, cw = ring._gq_arrays(e)
     jj, tt = [], []
     for j0, acc in _column_scan(ring, e, U):
         live = np.flatnonzero(acc.any(axis=1))
@@ -383,7 +478,8 @@ def _build_block(ring: GradedHypersurface, e: int, U: np.ndarray) -> _Block:
         tt.append(t)
     jj = np.concatenate(jj)
     tt = np.concatenate(tt)
-    keys = (U @ _key_weights(q, ring.v))[jj] + wkeys[tt]
+    kw = _key_weights(q, ring.v)
+    keys = (U @ kw)[jj] + (W @ kw)[tt]
     row_keys, rows = np.unique(keys, return_inverse=True)
     col_ids, cols = np.unique(jj, return_inverse=True)
     return _Block((row_keys.size, col_ids.size), rows.reshape(-1),
@@ -414,11 +510,17 @@ def _check_caps(ring: GradedHypersurface, e: int, m: int,
         raise InstanceTooLarge(
             f"instance too large at m={m}: matrix is {rows} x {cols}, "
             f"side cap {MAX_MATRIX_SIDE}")
+    if q ** ring.v >= 2 ** 63:
+        raise InstanceTooLarge(
+            f"instance too large at m={m}: row keys of {ring.v} exponents "
+            f"below q={q} reach q^{ring.v} >= 2^63")
     cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
-    shapes = _layout(ring, e, m).shapes
-    est = sum(_estimate_flops(r, c) for r, c in shapes)
+    layout = _layout(ring, e, m)
+    shapes = layout.shapes
+    ranked = [s for s, w in zip(shapes, layout.weights) if w]
+    est = sum(_estimate_flops(r, c) for r, c in ranked)
     if est > cap:
-        r, c = max(shapes, key=lambda s: _estimate_flops(*s))
+        r, c = max(ranked, key=lambda s: _estimate_flops(*s))
         raise InstanceTooLarge(
             f"instance too large at m={m}: estimated {est:.2e} elimination "
             f"operations on a {rows} x {cols} matrix in {len(shapes)} "
@@ -437,9 +539,9 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
     if key in ring._b_cache:
         return ring._b_cache[key]
     _check_caps(ring, e, m, work_cap)
-    shapes = _layout(ring, e, m).shapes
-    b = _certify(ring, e, m, [(k, 0 if _sketched(*s) else None)
-                              for k, s in enumerate(shapes)])
+    layout = _layout(ring, e, m)
+    b = _certify(ring, e, m, [(k, 0 if _sketched(*layout.shapes[k]) else None)
+                              for k, w in enumerate(layout.weights) if w])
     ring._b_cache[key] = b
     # the cached rank replaces the layout and its basis
     ring._layout_cache.pop(key, None)
@@ -449,7 +551,8 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
 
 def _certify(ring: GradedHypersurface, e: int, m: int,
              jobs: list[tuple[int, int | None]]) -> int:
-    """Sum of the certified ranks of the blocks of Phi_{e,m} that jobs name.
+    """Sum of the certified ranks of the blocks of Phi_{e,m} that jobs name,
+    each counted its layout weight times.
 
     A job is a block of the layout with its sketch attempt, or None for a
     block eliminated exactly; a block with no more nonzero rows than its
@@ -470,7 +573,7 @@ def _certify(ring: GradedHypersurface, e: int, m: int,
         built only if the check needs it."""
         if attempt is None or rank == K.shape[0] or _kernel_verifies(
                 _csr(true) if isinstance(true, _Block) else true, K, p):
-            return rank
+            return layout.weights[k] * rank
         if (attempt + 1 == _ATTEMPTS
                 or _sketch_rows(K.shape[0], attempt + 1) > MAX_MATRIX_SIDE):
             raise InternalCheckError(
@@ -507,7 +610,8 @@ def _certify(ring: GradedHypersurface, e: int, m: int,
         # a wide block's matrix lives only as long as its engine call
         if ncols > _BATCH_COLS:
             if attempt is None:
-                total += rank_fp_dense(_dense(blk, tall=False), p)
+                total += layout.weights[k] * rank_fp_dense(
+                    _dense(blk, tall=False), p)
             else:
                 total += settle(k, attempt, *kernel_fp_dense(
                     _sketch(ring, e, m, blk, attempt), p), blk)
@@ -596,7 +700,7 @@ def fedder_is_fsplit(ring: GradedHypersurface, e: int) -> bool:
     all exponents <= q-1."""
     if e < 1:
         raise ValidationError(f"level must be >= 1, got {e}")
-    W, _, _ = ring._gq_arrays(e)
+    W, _ = ring._gq_arrays(e)
     return W.shape[0] > 0
 
 
@@ -617,6 +721,7 @@ def m_threshold(ring: GradedHypersurface, e: int,
 
     def nonzero(m: int) -> bool:
         if _has_zero_column(ring, e, m):
+            ring._basis_cache.pop(m, None)  # no rank will drop it
             return True
         return b_dimension(ring, e, m, work_cap=work_cap) < ring.dim_R(m)
 

@@ -4,10 +4,10 @@ These call the same criterion functions that `frobw verify` runs.  The
 duality criterion is the slowest: its p=5 quadric threefold at level 2
 needs every b_2(m), m <= 72, from matrices with up to 234131 rows and up to
 17575 columns.  Each Phi_{2,m} there splits into at most 16 graded blocks,
-which keeps every rank under the default work cap; the criterion takes
-about 2.5 minutes on two cores.  Criterion 10 is the slow
-oracle-equivalence sweep and is marked `deep` (the CLI runs it under
-`verify --deep`).
+which keeps every rank under the default work cap.  The blocks fall into 3
+symmetry orbits and one block per orbit is ranked, so the criterion takes
+about 35 s on two cores.  Criterion 10 is the slow oracle-equivalence sweep
+and is marked `deep` (the CLI runs it under `verify --deep`).
 """
 
 import io

@@ -123,13 +123,16 @@ class TestBDimension:
 
     def test_failed_batch_check_falls_back(self, monkeypatch):
         # a narrow sketch whose kernel check is refused comes back to the
-        # batched engine as a larger sketch at attempt 1
+        # batched engine as a larger sketch at attempt 1; only the first
+        # block of each symmetry orbit is sketched
         ring = diagonal_hypersurface(3, 4, 2)
         calls = self.spy_engines(monkeypatch)
         attempts = self.spy_attempts(monkeypatch)
         self.refuse_checks(monkeypatch, 1)
+        ranked = sum(w > 0 for w in splitting._layout(ring, 3, 30).weights)
+        assert ranked == 3
         assert b_dimension(ring, 3, 30) == 23 ** 2
-        assert attempts == [0] * 8 + [1]
+        assert attempts == [0] * ranked + [1]
         refused = calls.index("_kernel_verifies")
         assert "kernel_fp_batched" in calls[refused:]
         assert "kernel_fp_dense" not in calls
@@ -282,6 +285,26 @@ class TestBDimension:
         # each layout and basis is dropped with its rank
         assert not ring._layout_cache and not ring._basis_cache
 
+    def test_row_keys_past_int64_refused(self, monkeypatch):
+        # a row key sums u_i q^i over the v exponents of a target, so it
+        # reaches q^v - 1; at q = 2 and v = 63 that is refused before any
+        # block is built, at v = 62 the rank is computed
+        F = PrimeField(2)
+        for v in (62, 63):
+            G = PolynomialFp(F, v, {(1, 1) + (0,) * (v - 2): 1})
+            ring = GradedHypersurface(F, tuple(f"x{i}" for i in range(v)), G)
+            if v == 62:
+                assert b_dimension(ring, 1, 0) == 1
+                continue
+
+            def unbuilt(*args):
+                raise AssertionError("row keys formed past 2^63")
+            monkeypatch.setattr(splitting, "_build_block", unbuilt)
+            monkeypatch.setattr(splitting, "_key_weights", unbuilt)
+            with pytest.raises(InstanceTooLarge, match=r"q\^63 >= 2\^63"):
+                b_dimension(ring, 1, 0)
+            assert m_threshold(ring, 1) == 0  # a zero column at m = 1
+
     def test_kernel_check_exact_range(self):
         # rows of two entries: 2 (p-1)^2 must stay below 2^53
         for p in (67108859, 67108879):
@@ -301,6 +324,95 @@ class TestBDimension:
             b_dimension(cubic_p5, 0, 1)
         with pytest.raises(ValidationError):
             b_dimension(cubic_p5, 1, -1)
+
+
+class TestSymmetryOrbits:
+    """Only the first block of each orbit of the symmetries of G is ranked;
+    the sum over the blocks must equal the unreduced one at every degree."""
+
+    @staticmethod
+    def unreduced(ring, monkeypatch):
+        twin = GradedHypersurface(ring.field, ring.names, ring.G)
+        monkeypatch.setattr(twin, "_symmetries", [])
+        return twin
+
+    @staticmethod
+    def reduces(ring, e, m):
+        return any(w > 1 for w in splitting._layout(ring, e, m).weights)
+
+    def test_quadric_threefold_p3(self, monkeypatch):
+        ring = diagonal_hypersurface(3, 5, 2)
+        assert len(ring._symmetries) == 4  # adjacent transpositions of S_5
+        assert self.reduces(ring, 2, 12)
+        reduced = profile(ring, 2).b
+        assert reduced == profile(self.unreduced(ring, monkeypatch), 2).b
+
+    def test_cubic_p5_e2_frozen(self, cubic_p5, monkeypatch):
+        assert self.reduces(cubic_p5, 2, 12)
+        twin = self.unreduced(cubic_p5, monkeypatch)
+        for ring in (cubic_p5, twin):
+            assert [b_dimension(ring, 2, m) for m in range(25)] \
+                == FROZEN["cubic_p5_e2_b"]
+
+    def test_non_unit_coefficients(self, monkeypatch):
+        # a diagonal G has linearly independent exponents, so a torus
+        # rescaling absorbs any coefficients
+        F = PrimeField(5)
+        G = PolynomialFp(F, 4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 2,
+                                (0, 0, 2, 0): 3, (0, 0, 0, 2): 4})
+        ring = GradedHypersurface(F, ("x0", "x1", "x2", "x3"), G)
+        assert len(ring._symmetries) == 3
+        assert self.reduces(ring, 2, 24)
+        reduced = profile(ring, 2).b
+        assert reduced == profile(self.unreduced(ring, monkeypatch), 2).b
+        assert reduced == [(min(m, 48 - m) + 1) ** 2 for m in range(49)]
+
+    def test_coefficients_break_symmetry(self, monkeypatch):
+        # swapping x0 and x1 keeps the support of G but, with the dependent
+        # exponents of G, the coefficients 1, 1, 2, 1 do not agree after it
+        # up to a scalar (nor up to any torus rescaling: c(2,1)^2 / (c(3,0)
+        # c(1,2)) = 3 becomes 4); those of (x0 + x1)^3 do
+        F = PrimeField(5)
+        exps = [(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0)]
+        names = ("x0", "x1", "x2")
+        rings = [GradedHypersurface(F, names, PolynomialFp(
+            F, 3, dict(zip(exps, coeffs)))) for coeffs in ((1, 1, 2, 1),
+                                                           (1, 3, 3, 1))]
+        assert [r._symmetries for r in rings] == [[], [(1, 0, 2)]]
+        ring = rings[0]
+        assert ring._lattice is not None
+        twin = self.unreduced(ring, monkeypatch)
+        for e in (1, 2):
+            for m in range(9):
+                assert set(splitting._layout(ring, e, m).weights) == {1}
+                assert b_dimension(ring, e, m) == b_dimension(twin, e, m)
+        assert [b_dimension(ring, 1, m) for m in range(9)] \
+            == [naive_b_dimension(ring, 1, m) for m in range(9)]
+
+    def test_work_estimate_counts_ranked_blocks(self):
+        # the cap is met by the ranked blocks alone, not by all 16
+        ring = diagonal_hypersurface(5, 4, 2)
+        layout = splitting._layout(ring, 2, 24)
+        est = [splitting._estimate_flops(*s) for s in layout.shapes]
+        ranked = sum(x for x, w in zip(est, layout.weights) if w)
+        assert ranked < sum(est) / 2
+        with pytest.raises(InstanceTooLarge, match="work cap"):
+            b_dimension(ring, 2, 24, work_cap=0.99 * ranked)
+        assert b_dimension(ring, 2, 24, work_cap=ranked) == 25 ** 2
+
+    def test_shape_mismatch_in_orbit_raises(self, monkeypatch):
+        # x2 <-> x3 is no symmetry of x0^2 + x1 x2 + x3^2: it maps the class
+        # of a 2 x 1 block of Phi_{1,1} to that of a 3 x 1 block
+        F = PrimeField(3)
+        G = PolynomialFp(F, 4, {(2, 0, 0, 0): 1, (0, 1, 1, 0): 1,
+                                (0, 0, 0, 2): 1})
+        ring = GradedHypersurface(F, ("x0", "x1", "x2", "x3"), G)
+        assert sorted(ring._symmetries) == [(0, 2, 1, 3), (3, 1, 2, 0)]
+        monkeypatch.setattr(ring, "_symmetries", [(0, 1, 3, 2)])
+        with pytest.raises(InternalCheckError,
+                           match=r"maps block 1, counted \(2, 1\), to no "
+                           r"block of the same counted shape"):
+            b_dimension(ring, 1, 1)
 
 
 class TestThresholds:
@@ -327,6 +439,13 @@ class TestThresholds:
         ranked = {m for e, m in ring._b_cache}
         assert len(built) == len(set(built)) == 8
         assert ranked == {1, 2, 4, 8} and set(laid_out) == ranked
+
+    def test_threshold_drops_every_basis(self):
+        # the probes at 16, 12, 10 and 9 find a zero column and compute no
+        # rank; their bases are dropped all the same
+        ring = diagonal_hypersurface(3, 4, 2)
+        assert m_threshold(ring, 2) == 8
+        assert not ring._basis_cache and not ring._layout_cache
 
     @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 1)])
     def test_quadric_threshold(self, p, e):
