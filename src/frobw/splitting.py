@@ -32,17 +32,18 @@ complement of its part of G * S_{m-delta}, since reduction by G stays in a
 class.  Such t and lambda exist when the exponent vectors of G are
 linearly independent; otherwise the coefficients must agree after sigma up
 to one global scalar (t = 1).  The symmetries are searched once per ring,
-for v <= 7 and only when Phi splits.  The duality b(m) = b(M_e - m) is
-never used.
+for v <= 7, by the first layout of a Phi that splits.  The duality
+b(m) = b(M_e - m) is never used.
 
 One loop certifies every ranked block (_certify).  A block at most twice as
 tall as wide that fits DENSE_CELLS is eliminated exactly.  A taller or
 larger block is compressed by a seeded row hash into a sketch with 64 spare
 rows, unless the built block, without its zero rows, is no taller than that
 sketch.  Sketch rank = column count is a proof of full column rank;
-otherwise the sketch's kernel basis is verified against the uncompressed
-block, which certifies the exact rank.  A sketch failing its check comes
-back to the loop as a larger sketch, so every returned value is certified.
+otherwise the sketch's kernel basis is verified against the true block,
+built from its nonzero entries in dense row chunks, which certifies the
+exact rank.  A sketch failing its check comes back to the loop as a larger
+sketch, so every returned value is certified.
 A block's width alone picks its engine: blocks with at most 128 nonzero
 columns are eliminated together, one vectorized step per column
 (kernel_fp_batched); wider blocks go one at a time through the BLAS-blocked
@@ -52,6 +53,7 @@ engine (rank_fp_dense, kernel_fp_dense).
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,7 +61,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InstanceTooLarge, InternalCheckError, ValidationError
 from .ffkernel import (
@@ -129,15 +130,21 @@ class GradedHypersurface:
         exps = sorted(G.terms)
         self._w0 = np.array(exps[0], dtype=np.int64)
         self._lattice = _grading_lattice(exps)
-        self._symmetries = (_symmetries(G, self._lattice)
-                            if self._lattice is not None
-                            and self.v <= _SYMMETRY_VARS else [])
         self._gq_cache: dict[int, PolynomialFp] = {}
         self._gq_arrays_cache: dict[int, tuple] = {}
         self._term_masks_cache: dict[int, np.ndarray] = {}
         self._basis_cache: dict[int, np.ndarray] = {}
         self._layout_cache: dict[tuple[int, int], _Layout] = {}
         self._b_cache: dict[tuple[int, int], int] = {}
+
+    @functools.cached_property
+    def _symmetries(self) -> list[tuple[int, ...]]:
+        """Generators of the symmetries of G, searched by the first layout
+        that splits into blocks, for v <= _SYMMETRY_VARS: a ring that never
+        lays out a split Phi never pays the v! search."""
+        if self._lattice is None or self.v > _SYMMETRY_VARS:
+            return []
+        return _symmetries(self.G, self._lattice)
 
     def dim_S(self, m: int) -> int:
         return n_monomials(self.v, m) if m >= 0 else 0
@@ -158,7 +165,7 @@ class GradedHypersurface:
         """The terms of G^(p^e - 1) with every exponent <= q - 1, the only
         ones a product with a monomial can keep: exponent matrix (T x v,
         in the smallest unsigned dtype that holds q - 1) and coefficient
-        vector."""
+        vector (in the smallest unsigned dtype that holds p - 1)."""
         if e not in self._gq_arrays_cache:
             q = self.field.p ** e
             items = sorted((exps, c) for exps, c in self.gq(e).terms.items()
@@ -166,7 +173,8 @@ class GradedHypersurface:
             W = np.array([exps for exps, _ in items],
                          dtype=np.min_scalar_type(q - 1)).reshape(
                              len(items), self.v)
-            cw = np.array([c for _, c in items], dtype=np.int64)
+            cw = np.array([c for _, c in items],
+                          dtype=np.min_scalar_type(self.field.p - 1))
             self._gq_arrays_cache[e] = (W, cw)
         return self._gq_arrays_cache[e]
 
@@ -453,7 +461,9 @@ def _has_zero_column(ring: GradedHypersurface, e: int, m: int) -> bool:
 class _Block(NamedTuple):
     """The nonzero entries of one block of Phi, without its zero rows and
     zero columns: entry t sits at (rows[t], cols[t]) and has value vals[t];
-    row_keys[i] encodes the target monomial of row i."""
+    row_keys[i] encodes the target monomial of row i.  rows and cols come
+    in the smallest unsigned dtype that holds the row and the column count,
+    vals in the one that holds p - 1."""
 
     shape: tuple[int, int]
     rows: np.ndarray
@@ -482,8 +492,10 @@ def _build_block(ring: GradedHypersurface, e: int, U: np.ndarray) -> _Block:
     keys = (U @ kw)[jj] + (W @ kw)[tt]
     row_keys, rows = np.unique(keys, return_inverse=True)
     col_ids, cols = np.unique(jj, return_inverse=True)
-    return _Block((row_keys.size, col_ids.size), rows.reshape(-1),
-                  cols.reshape(-1), cw[tt], row_keys)
+    return _Block((row_keys.size, col_ids.size),
+                  rows.reshape(-1).astype(np.min_scalar_type(row_keys.size)),
+                  cols.reshape(-1).astype(np.min_scalar_type(col_ids.size)),
+                  cw[tt], row_keys)
 
 
 def _sketched(rows: int, cols: int) -> bool:
@@ -503,17 +515,24 @@ def _estimate_flops(rows: int, cols: int) -> float:
 
 def _check_caps(ring: GradedHypersurface, e: int, m: int,
                 work_cap: float | None) -> None:
+    """Refuse Phi_{e,m} before any block is built when its side, its row
+    keys or its work estimate passes a cap.  A refused degree keeps nothing
+    it cached: its layout and basis are dropped."""
+
+    def refused(message: str) -> InstanceTooLarge:
+        ring._layout_cache.pop((e, m), None)
+        ring._basis_cache.pop(m, None)
+        return InstanceTooLarge(f"instance too large at m={m}: {message}")
+
     q = ring.field.p ** e
     cols = ring.dim_R(m)
     rows = n_monomials_capped(ring.v, m + ring.delta * (q - 1), q - 1)
     if cols > MAX_MATRIX_SIDE or rows > MAX_MATRIX_SIDE:
-        raise InstanceTooLarge(
-            f"instance too large at m={m}: matrix is {rows} x {cols}, "
-            f"side cap {MAX_MATRIX_SIDE}")
+        raise refused(f"matrix is {rows} x {cols}, side cap "
+                      f"{MAX_MATRIX_SIDE}")
     if q ** ring.v >= 2 ** 63:
-        raise InstanceTooLarge(
-            f"instance too large at m={m}: row keys of {ring.v} exponents "
-            f"below q={q} reach q^{ring.v} >= 2^63")
+        raise refused(f"row keys of {ring.v} exponents below q={q} reach "
+                      f"q^{ring.v} >= 2^63")
     cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
     layout = _layout(ring, e, m)
     shapes = layout.shapes
@@ -521,11 +540,11 @@ def _check_caps(ring: GradedHypersurface, e: int, m: int,
     est = sum(_estimate_flops(r, c) for r, c in ranked)
     if est > cap:
         r, c = max(ranked, key=lambda s: _estimate_flops(*s))
-        raise InstanceTooLarge(
-            f"instance too large at m={m}: estimated {est:.2e} elimination "
-            f"operations on a {rows} x {cols} matrix in {len(shapes)} "
-            f"block(s), the largest {r} x {c}, exceeds the work cap "
-            f"{cap:.2e}; pass a larger work_cap to force the attempt")
+        raise refused(
+            f"estimated {est:.2e} elimination operations on a {rows} x "
+            f"{cols} matrix in {len(shapes)} block(s), the largest {r} x "
+            f"{c}, exceeds the work cap {cap:.2e}; pass a larger work_cap "
+            f"to force the attempt")
 
 
 def b_dimension(ring: GradedHypersurface, e: int, m: int,
@@ -568,11 +587,10 @@ def _certify(ring: GradedHypersurface, e: int, m: int,
     retries, queue, cells = [], [], 0
 
     def settle(k, attempt, rank, K, true) -> int:
-        """The certified rank, or 0 with the block queued for a retry.
-        true is the block's CSR matrix, or the block when its matrix is
-        built only if the check needs it."""
-        if attempt is None or rank == K.shape[0] or _kernel_verifies(
-                _csr(true) if isinstance(true, _Block) else true, K, p):
+        """The certified rank, or 0 with the block queued for a retry;
+        true holds the entries of the block the sketch compresses."""
+        if (attempt is None or rank == K.shape[0]
+                or _kernel_verifies(true, K, p)):
             return layout.weights[k] * rank
         if (attempt + 1 == _ATTEMPTS
                 or _sketch_rows(K.shape[0], attempt + 1) > MAX_MATRIX_SIDE):
@@ -621,7 +639,8 @@ def _certify(ring: GradedHypersurface, e: int, m: int,
             queue.append((k, None, A, None))
         else:
             A = _sketch(ring, e, m, blk, attempt)
-            queue.append((k, attempt, A, _csr(blk)))
+            # the check needs the entries, not the row keys
+            queue.append((k, attempt, A, blk._replace(row_keys=None)))
             cells += blk.vals.size
         cells += A.size
         if cells > _BATCH_CELLS:
@@ -639,11 +658,6 @@ def _dense(blk: _Block, tall: bool) -> np.ndarray:
     A[blk.rows, blk.cols] = blk.vals
     nrows, ncols = blk.shape
     return A.T if (nrows < ncols if tall else nrows > ncols) else A
-
-
-def _csr(blk: _Block) -> scipy.sparse.csr_matrix:
-    return scipy.sparse.csr_matrix(
-        (blk.vals.astype(np.float64), (blk.rows, blk.cols)), shape=blk.shape)
 
 
 def _sketch_rows(ncols: int, attempt: int) -> int:
@@ -679,17 +693,47 @@ def _sketch_seed(ring: GradedHypersurface, e: int, m: int,
     return h
 
 
-def _kernel_verifies(A: scipy.sparse.csr_matrix, K: np.ndarray,
-                     p: int) -> bool:
-    """Exact check that every sketch-kernel vector kills the true block A.
-    Refused before any work when a row's sum of products could leave the
-    exact range of float64."""
-    longest = int(np.diff(A.indptr).max(initial=0))
-    if longest * (p - 1) ** 2 > 2 ** 53 - 1:
+#: cells of the true block built per dense row chunk of a kernel check
+_CHECK_CELLS = 1 << 20
+
+
+def _kernel_verifies(blk: _Block, K: np.ndarray, p: int) -> bool:
+    """Exact check that every sketch-kernel vector kills the true block:
+    A K = 0 (mod p) for the matrix A whose entries blk holds.  A is built in
+    dense row chunks of at most _CHECK_CELLS cells (one row when a row is
+    wider), and each chunk is multiplied by K with BLAS.
+
+    Exact: every entry of A and of K lies in [0, p), so every partial sum
+    that a product forms, in any order, is a sum of some of one row's
+    non-negative products.  It is at most that row's total, and so at most
+    longest * (p-1)^2 for the longest row's nonzero count.  float32 holds
+    every integer up to 2^24 and float64 every one up to 2^53: the chunks
+    run in float32 when that bound is below 2^24, else in float64, and past
+    2^53 - 1 the check is refused before any work."""
+    nrows, ncols = blk.shape
+    longest = int(np.bincount(blk.rows, minlength=1).max())
+    bound = longest * (p - 1) ** 2
+    if bound > 2 ** 53 - 1:
         raise InstanceTooLarge(
             f"prime too large: verifying a kernel over F_{p} against rows "
             f"of {longest} entries leaves the exact range of float64")
-    return not np.any((A @ K.astype(np.float64)) % p)
+    dtype = np.float32 if bound < 2 ** 24 else np.float64
+    K = K.astype(dtype)
+    # at most nrows, so that row offsets stay in the dtype of blk.rows
+    step = max(1, min(nrows, _CHECK_CELLS // ncols))
+    nchunks = -(-nrows // step)
+    # group the entries by chunk; chunk numbers of at most 16 bits sort in
+    # linear time
+    chunk = (blk.rows // step).astype(np.min_scalar_type(nchunks))
+    order = np.argsort(chunk, kind="stable")
+    ends = np.cumsum(np.bincount(chunk, minlength=nchunks))
+    for c, t in enumerate(np.split(order, ends[:-1])):
+        r0 = c * step
+        D = np.zeros((min(step, nrows - r0), ncols), dtype=dtype)
+        D[blk.rows[t] - r0, blk.cols[t]] = blk.vals[t]
+        if np.fmod(D @ K, p).any():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +290,39 @@ class TestReportObject:
             {"rows": [{"e": 1, "m": 0, "dimRm": 1, "b": 1, "dimIe": 0}]}],
             checks={}, version="0", elapsed_ms=0)
         assert rep.to_csv() == "e,m,dimRm,b,dimIe\n1,0,1,1,0\n"
+
+
+# a split request whose certification verifies sketch kernels, run with
+# every import of scipy failing
+_WITHOUT_SCIPY = """
+import io, json, sys
+sys.modules["scipy"] = None
+import frobw.frontend as frontend
+import frobw.splitting as splitting
+checks = []
+verify = splitting._kernel_verifies
+
+def counted(*args):
+    checks.append(1)
+    return verify(*args)
+
+splitting._kernel_verifies = counted
+rc = frontend.run_cli(["split", "--p", "3", "--poly",
+                       "x0^2+x1^2+x2^2+x3^2+x4^2", "--e", "2",
+                       "--threads", "1"], io.StringIO())
+del sys.modules["scipy"]
+print(json.dumps({"rc": rc, "checks": len(checks),
+                  "scipy": [n for n in sys.modules
+                            if n.partition(".")[0] == "scipy"]}))
+"""
+
+
+def test_cli_needs_no_scipy():
+    src = Path(frontend.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["rc"] == 0 and out["checks"] >= 1
+    assert out["scipy"] == []

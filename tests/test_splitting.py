@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frobw.splitting as splitting
 from frobw.errors import InstanceTooLarge, InternalCheckError, ValidationError
@@ -31,6 +32,15 @@ def quadric_p3():
 @pytest.fixture(scope="module")
 def cubic_p5():
     return diagonal_hypersurface(5, 4, 3)
+
+
+def coo_block(A: np.ndarray) -> splitting._Block:
+    """The _Block of the nonzero entries of a dense integer matrix, with
+    rows and columns in the dtypes _build_block gives them."""
+    rows, cols = np.nonzero(A)
+    return splitting._Block(
+        A.shape, rows.astype(np.min_scalar_type(A.shape[0])),
+        cols.astype(np.min_scalar_type(A.shape[1])), A[rows, cols], None)
 
 
 def ungraded_quadric():
@@ -308,8 +318,7 @@ class TestBDimension:
     def test_kernel_check_exact_range(self):
         # rows of two entries: 2 (p-1)^2 must stay below 2^53
         for p in (67108859, 67108879):
-            A = scipy.sparse.csr_matrix(np.array([[1.0, p - 1.0],
-                                                  [p - 1.0, 1.0]]))
+            A = coo_block(np.array([[1, p - 1], [p - 1, 1]]))
             kernel = np.array([[1.0], [1.0]])
             wrong = np.array([[1.0], [p - 2.0]])
             if p == 67108859:
@@ -318,6 +327,53 @@ class TestBDimension:
             else:
                 with pytest.raises(InstanceTooLarge, match="prime too large"):
                     splitting._kernel_verifies(A, kernel, p)
+
+    @staticmethod
+    def naive_verifies(A: np.ndarray, K: np.ndarray, p: int) -> bool:
+        return not ((A.astype(object) @ K.astype(object)) % p).any()
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 101, 4093, 67108859]),
+           cells=st.sampled_from([1, 3, splitting._CHECK_CELLS]))
+    def test_kernel_check_matches_naive_product(self, data, p, cells):
+        # A = [B | -B T] is killed by K = [T; I]: its rows have the lengths
+        # drawn for B plus the filled columns.  At p = 4093 a row of one
+        # entry is checked in float32 and a row of two in float64; past two
+        # entries p = 67108859 is refused.  A wrong kernel fails only in the
+        # last row, which the last chunk holds; one or three cells per chunk
+        # give one row per chunk.
+        nrows = data.draw(st.integers(1, 12), label="nrows")
+        ncols = data.draw(st.integers(1, 2 if p > 4093 else 8), label="ncols")
+        k = data.draw(st.integers(1, ncols), label="kernel width")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        B = rng.integers(1, p, size=(nrows, ncols - k))
+        for i in range(nrows):
+            length = data.draw(st.integers(0, ncols - k), label="row length")
+            B[i, rng.permutation(ncols - k)[length:]] = 0
+        T = rng.integers(0, p, size=(ncols - k, k))
+        A = np.hstack([B, (-(B.astype(object) @ T) % p).astype(np.int64)])
+        K = np.vstack([T, np.eye(k, dtype=np.int64)])
+        if data.draw(st.booleans(), label="wrong kernel"):
+            A[-1, -1] = (A[-1, -1] + 1) % p
+        longest = int((A != 0).sum(axis=1).max())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitting, "_CHECK_CELLS", cells)
+            if longest * (p - 1) ** 2 > 2 ** 53 - 1:
+                with pytest.raises(InstanceTooLarge, match="prime too large"):
+                    splitting._kernel_verifies(coo_block(A), K * 1.0, p)
+            else:
+                assert splitting._kernel_verifies(coo_block(A), K * 1.0, p) \
+                    == self.naive_verifies(A, K, p)
+
+    def test_kernel_check_leaves_float32_past_its_range(self):
+        # 3881 * 3587 + 3671 * 3290 = 6352 * 4093 + 1, which float32 rounds
+        # to a multiple of 4093: a row of two entries needs float64
+        p = 4093
+        A = np.array([[3881, 3671]])
+        K = np.array([[3587.0], [3290.0]])
+        assert (A.astype(np.float32) @ K.astype(np.float32))[0, 0] % p == 0
+        assert not self.naive_verifies(A, K, p)
+        assert not splitting._kernel_verifies(coo_block(A), K, p)
 
     def test_bad_arguments(self, cubic_p5):
         with pytest.raises(ValidationError):
@@ -339,6 +395,31 @@ class TestSymmetryOrbits:
     @staticmethod
     def reduces(ring, e, m):
         return any(w > 1 for w in splitting._layout(ring, e, m).weights)
+
+    def test_symmetries_searched_by_the_first_rank(self, monkeypatch):
+        # construction, the Fedder test, membership and a threshold that a
+        # zero column settles need no symmetry; the first rank of a ring
+        # searches them, once
+        searches = []
+        search = splitting._symmetries
+
+        def counted(G, lattice):
+            searches.append(G)
+            return search(G, lattice)
+        monkeypatch.setattr(splitting, "_symmetries", counted)
+        assert fedder_is_fsplit(diagonal_hypersurface(5, 7, 2), 1)
+        F = PrimeField(3)
+        lines = GradedHypersurface(F, ("x0", "x1", "x2"),
+                                   PolynomialFp(F, 3, {(1, 1, 0): 1}))
+        assert m_threshold(lines, 1) == 0
+        rings = [diagonal_hypersurface(3, v, 2) for v in (4, 5)]
+        x0sq = PolynomialFp(F, 4, {(2, 0, 0, 0): 1})
+        assert not membership_check(rings[0], 1, x0sq)  # I_1(2) = 0
+        assert searches == []
+        for n, ring in enumerate(rings, 1):
+            b_dimension(ring, 2, 4)
+            profile(ring, 1)
+            assert searches == [r.G for r in rings[:n]]
 
     def test_quadric_threefold_p3(self, monkeypatch):
         ring = diagonal_hypersurface(3, 5, 2)
@@ -446,6 +527,14 @@ class TestThresholds:
         ring = diagonal_hypersurface(3, 4, 2)
         assert m_threshold(ring, 2) == 8
         assert not ring._basis_cache and not ring._layout_cache
+
+    def test_refused_degree_keeps_no_cache(self):
+        # the galloping probe at 16 and the linear probe at 14 are refused
+        # by the work cap after their layouts are counted
+        ring = diagonal_hypersurface(5, 5, 2)
+        with pytest.raises(InstanceTooLarge, match="at m=14: .* work cap"):
+            m_threshold(ring, 2, work_cap=1e6)
+        assert not ring._layout_cache and not ring._basis_cache
 
     @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 1)])
     def test_quadric_threshold(self, p, e):
