@@ -173,10 +173,6 @@ class PolynomialFp:
             out[e] = out.get(e, 0) + c
         return PolynomialFp(self.field, self.nvars, out)
 
-    def scale(self, c: int) -> "PolynomialFp":
-        return PolynomialFp(self.field, self.nvars,
-                            {e: a * c for e, a in self.terms.items()})
-
     def mul(self, other: "PolynomialFp") -> "PolynomialFp":
         self._check_compatible(other)
         radix = [a + b + 1 for a, b in zip(self._max_exponents(),

@@ -291,7 +291,7 @@ def split_report(ring: GradedHypersurface, profiles: list[SplittingProfile],
         p=ring.field.p,
         results=[_profile_result(ring, pr) for pr in profiles],
         checks={
-            "duality_ok": all(pr.duality_ok is not False for pr in profiles),
+            "duality_ok": all(pr.duality_ok for pr in profiles),
             "monotone_ok": all(pr.monotone_ok is not False
                                for pr in profiles),
         },
@@ -325,8 +325,7 @@ def fano_report_to_report(ring: GradedHypersurface, fr: FanoReport,
         p=ring.field.p,
         results=results,
         checks={
-            "duality_ok": all(pr.duality_ok is not False
-                              for pr in fr.profiles),
+            "duality_ok": all(pr.duality_ok for pr in fr.profiles),
             "monotone_ok": all(pr.monotone_ok is not False
                                for pr in fr.profiles),
             "conclusive_below_half": fr.conclusive_below_half,
@@ -413,7 +412,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--vars", help="comma-separated variable order")
         sp.add_argument("--e", default="1",
                         help="Frobenius level n or range a..b (default 1)")
-        sp.add_argument("--no-duality-check", action="store_true")
         sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="write the report here instead of "
@@ -477,9 +475,7 @@ def _cmd_split(args, stream: TextIO) -> int:
     profiles: list[SplittingProfile] = []
     prev = None
     for e in range(1, max(levels) + 1):
-        prev = profile(ring, e, prev=prev,
-                       check_duality=not args.no_duality_check,
-                       threads=threads)
+        prev = profile(ring, e, prev=prev, threads=threads)
         if e in levels:
             profiles.append(prev)
     rep = split_report(ring, profiles, text,

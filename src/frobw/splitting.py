@@ -799,8 +799,16 @@ def m_threshold(ring: GradedHypersurface, e: int,
 
 def _b_values(ring: GradedHypersurface, e: int, ms, work_cap, threads):
     ms = list(ms)
-    for m in ms:
-        _check_caps(ring, e, m, work_cap)  # fail fast before any heavy work
+    try:
+        for m in ms:  # fail fast before any heavy work
+            if (e, m) not in ring._b_cache:  # a cached rank needs no check
+                _check_caps(ring, e, m, work_cap)
+    except InstanceTooLarge:
+        # no rank runs, so none drops the layouts and bases checked so far
+        for m in ms:
+            ring._layout_cache.pop((e, m), None)
+            ring._basis_cache.pop(m, None)
+        raise
     ring.gq(e)  # materialize the shared power outside the pool
     if threads and threads > 1:
         with concurrent.futures.ThreadPoolExecutor(threads) as pool:
@@ -822,13 +830,12 @@ class SplittingProfile:
     alpha_upper: Fraction
     a_e: int
     s_raw: Fraction
-    duality_ok: bool | None  # None when the check was skipped
+    duality_ok: bool
     monotone_ok: bool | None  # None without a previous level
 
 
 def profile(ring: GradedHypersurface, e: int,
             prev: SplittingProfile | None = None,
-            check_duality: bool = True,
             work_cap: float | None = None,
             threads: int = 1) -> SplittingProfile:
     """Assemble the full level-e profile with its self-checks."""
@@ -859,9 +866,6 @@ def profile(ring: GradedHypersurface, e: int,
     while m_e + 1 <= M and b[m_e + 1] == dims[m_e + 1]:
         m_e += 1
     a_e = sum(b)
-    duality_ok: bool | None = None
-    if check_duality:
-        duality_ok = all(b[m] == b[M - m] for m in range(M + 1))
     monotone_ok: bool | None = None
     if prev is not None:
         if prev.e != e - 1:
@@ -875,7 +879,7 @@ def profile(ring: GradedHypersurface, e: int,
         alpha_upper=Fraction(m_e + 1, q - 1),
         a_e=a_e,
         s_raw=Fraction(a_e, q ** (ring.v - 1)),
-        duality_ok=duality_ok,
+        duality_ok=all(b[m] == b[M - m] for m in range(M + 1)),
         monotone_ok=monotone_ok,
     )
 

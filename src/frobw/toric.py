@@ -6,17 +6,17 @@ vertex denominators (times d-1 for degree-one generation),
 
     alpha = r * min over lattice points u of rP of min_{c_i > 0} 1/c_i,
 
-where c_i = <u, v_i> + r.  The vertices, volumes and alpha are exact
-rational arithmetic.  The lattice-point scan of rP runs over its bounding
-box in chunks of int64 arrays, refused in advance when some c_i could leave
-the range of int64, so it is exact too.  No floating point is used anywhere
-in this module.
+where c_i = <u, v_i> + r.  Completeness of the fan, the vertices, volumes
+and alpha are exact rational arithmetic, all of it through one determinant
+routine.  The lattice-point scan of rP runs over its bounding box in chunks
+of int64 arrays, refused in advance when some c_i could leave the range of
+int64, so it is exact too.  No floating point is used anywhere in this
+module.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,17 +31,23 @@ DEFAULT_POINT_CAP = 10 ** 7
 #: box points decoded and scanned per int64 chunk
 _SCAN_CHUNK = 1 << 12
 
-#: random rational directions per lattice dimension for the completeness
-#: spot-check
-_COMPLETENESS_SAMPLES_PER_DIM = 10
-
 
 class FanData:
     """A complete simplicial fan: primitive rays plus maximal cones given as
     sets of d ray indices.
 
-    Construction validates primitivity, simpliciality, and spot-checks
-    completeness with seeded random rational directions.
+    Construction validates primitivity and simpliciality, and certifies
+    exactly that the cones cover every direction exactly once:
+
+    * every wall (the d-1 rays of a cone other than one ray j) is a wall of
+      exactly two cones, whose rays j lie on opposite sides of it;
+    * the sum of the rays of cone 0, a point inside it, lies in no other
+      cone.
+
+    Crossing a wall then leaves one cone and enters another, so the number
+    of cones that hold a direction off the walls is the same everywhere,
+    and it is 1 at that point.  For d = 1 the single wall is the origin and
+    its pairing alone decides.
     """
 
     def __init__(self, d: int, rays: Sequence[Sequence[int]],
@@ -62,35 +68,37 @@ class FanData:
                 raise ValidationError(f"ray {k} is zero")
             if math.gcd(*(abs(a) for a in ray)) != 1:
                 raise ValidationError(f"ray {k} = {ray} is not primitive")
+        walls: dict[tuple[int, ...], list[bool]] = {}
         for c, cone in enumerate(self.cones):
             if len(set(cone)) != self.d:
                 raise ValidationError(
                     f"cone {c} has {len(set(cone))} rays, expected {self.d}")
             if any(i < 0 or i >= len(self.rays) for i in cone):
                 raise ValidationError(f"cone {c} references a missing ray")
-            M = [[Fraction(self.rays[i][j]) for i in cone]
-                 for j in range(self.d)]
-            if _det(M) == 0:
+            det = _det([self.rays[i] for i in cone])
+            if det == 0:
                 raise ValidationError(
                     f"non-simplicial or degenerate cone: cone {c} has "
                     f"linearly dependent rays")
-        self._completeness_spot_check()
-
-    def _completeness_spot_check(self) -> None:
-        rng = random.Random(hash((self.d, self.rays, self.cones)) & 0xFFFFFF)
-        for _ in range(_COMPLETENESS_SAMPLES_PER_DIM * self.d):
-            w = [Fraction(rng.randint(-99, 99), rng.randint(1, 9))
-                 for _ in range(self.d)]
-            if not any(self._cone_contains(cone, w) for cone in self.cones):
+            for k in range(self.d):
+                # the side of ray cone[k] is the sign of det(wall rays, ray
+                # cone[k]); moving row k last takes d-1-k transpositions
+                walls.setdefault(cone[:k] + cone[k + 1:], []).append(
+                    (det > 0) == ((self.d - 1 - k) % 2 == 0))
+        for wall, sides in walls.items():
+            if sorted(sides) != [False, True]:
                 raise ValidationError(
-                    f"fan fails the completeness spot-check: direction "
-                    f"{tuple(w)} lies in no maximal cone")
-
-    def _cone_contains(self, cone: tuple[int, ...],
-                       w: Sequence[Fraction]) -> bool:
-        M = [[Fraction(self.rays[i][j]) for i in cone] for j in range(self.d)]
-        coeffs = _solve(M, [Fraction(x) for x in w])
-        return all(c >= 0 for c in coeffs)
+                    f"fan fails the completeness check: the wall of rays "
+                    f"{list(wall)} must bound two cones, one on each side, "
+                    f"but bounds {len(sides)} with {sides.count(True)} on "
+                    f"its positive side")
+        inner = [sum(a) for a in zip(*(self.rays[i] for i in self.cones[0]))]
+        for c, cone in enumerate(self.cones[1:], start=1):
+            if all(t >= 0 for t in _cramer((self.rays[i] for i in cone),
+                                           inner)):
+                raise ValidationError(
+                    f"fan fails the completeness check: {tuple(inner)}, "
+                    f"inside cone 0, also lies in cone {c}")
 
     def __repr__(self) -> str:
         return (f"FanData(d={self.d}, rays={len(self.rays)}, "
@@ -120,28 +128,11 @@ class ToricAlphaReport:
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q (dimensions are tiny: the lattice rank)
 
-def _solve(M: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve M x = b by fraction Gaussian elimination; M must be square and
-    nonsingular."""
-    n = len(M)
-    A = [row[:] + [b[i]] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise ValidationError("non-simplicial or degenerate cone")
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [a * inv for a in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * c for a, c in zip(A[r], A[col])]
-    return [A[r][n] for r in range(n)]
-
-
-def _det(M: list[list[Fraction]]) -> Fraction:
-    n = len(M)
-    A = [row[:] for row in M]
+def _det(M: Sequence[Sequence]) -> Fraction:
+    """The determinant of a square matrix of integers or fractions, by
+    Gaussian elimination over Q."""
+    A = [[Fraction(a) for a in row] for row in M]
+    n = len(A)
     det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if A[r][col] != 0), None)
@@ -159,6 +150,15 @@ def _det(M: list[list[Fraction]]) -> Fraction:
     return det
 
 
+def _cramer(rows, b: Sequence) -> list[Fraction]:
+    """The coefficients x with sum_k x_k rows[k] = b, by Cramer's rule;
+    the rows must be linearly independent."""
+    rows = list(rows)
+    det = _det(rows)
+    return [_det(rows[:k] + [b] + rows[k + 1:]) / det
+            for k in range(len(rows))]
+
+
 def _dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
 
@@ -169,17 +169,11 @@ def _dot(u, v) -> Fraction:
 def polar_and_dilate(fan: FanData) -> tuple[RationalPolytope, int]:
     """Vertices of P = {u : <u, v_i> >= -1} (one per maximal cone) and the
     dilation r = lcm(vertex denominators) * max(1, d-1)."""
-    vertices = []
-    for cone in fan.cones:
-        M = [[Fraction(fan.rays[i][j]) for j in range(fan.d)] for i in cone]
-        u = tuple(_solve(M, [Fraction(-1)] * fan.d))
-        vertices.append(u)
-    seen = set()
-    unique = []
-    for u in vertices:
-        if u not in seen:
-            seen.add(u)
-            unique.append(u)
+    # <u, v_i> = -1 for the rays v_i of a cone: u combines the columns of
+    # their matrix into the all -1 vector
+    unique = list(dict.fromkeys(
+        tuple(_cramer(zip(*(fan.rays[i] for i in cone)), [-1] * fan.d))
+        for cone in fan.cones))
     for u in unique:
         for k, ray in enumerate(fan.rays):
             if _dot(u, ray) < -1:
@@ -300,7 +294,7 @@ def anticanonical_volume(fan: FanData,
         for simplex in _triangulate_face(P, face, d - 1):
             if len(simplex) != d:
                 continue  # lower-dimensional artifact, measure zero
-            total += abs(_det([list(u) for u in simplex]))
+            total += abs(_det(simplex))
     return total
 
 

@@ -220,6 +220,11 @@ class TestExitCodes:
         assert self.run(["split", "--p", "5", "--poly", "x^2+y^2",
                          "--e", "0..2"]) == 1
 
+    @pytest.mark.parametrize("command", ["split", "fano"])
+    def test_duality_check_cannot_be_switched_off(self, command):
+        assert self.run([command, "--p", "5", "--poly", CUBIC,
+                         "--no-duality-check"]) == 1
+
     def test_parse_errors(self):
         assert self.run(["split", "--p", "11",
                          "--poly", "x^2(z^3-w^3)", "--e", "1"]) == 2

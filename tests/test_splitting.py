@@ -529,12 +529,15 @@ class TestThresholds:
         assert not ring._basis_cache and not ring._layout_cache
 
     def test_refused_degree_keeps_no_cache(self):
-        # the galloping probe at 16 and the linear probe at 14 are refused
-        # by the work cap after their layouts are counted
-        ring = diagonal_hypersurface(5, 5, 2)
-        with pytest.raises(InstanceTooLarge, match="at m=14: .* work cap"):
-            m_threshold(ring, 2, work_cap=1e6)
-        assert not ring._layout_cache and not ring._basis_cache
+        # m_threshold: the galloping probe at 16 and the linear probe at 14
+        # are refused by the work cap after their layouts are counted;
+        # profile: the pre-check refuses 14 after counting degrees 0..13
+        for run in (m_threshold, profile):
+            ring = diagonal_hypersurface(5, 5, 2)
+            with pytest.raises(InstanceTooLarge,
+                               match="at m=14: .* work cap"):
+                run(ring, 2, work_cap=1e6)
+            assert not ring._layout_cache and not ring._basis_cache
 
     @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 1)])
     def test_quadric_threshold(self, p, e):
@@ -577,6 +580,14 @@ class TestProfile:
         assert pr.s_raw == Fraction(19, 27)
         assert pr.duality_ok
         assert pr.monotone_ok is None
+
+    def test_cached_ranks_keep_no_layout(self):
+        # the threshold caches two ranks; the profile's pre-check skips
+        # them, so every layout it counts is dropped by its rank
+        ring = diagonal_hypersurface(3, 4, 2)
+        m_threshold(ring, 1)
+        profile(ring, 1)
+        assert not ring._layout_cache and not ring._basis_cache
 
     def test_chained_monotonicity_flag(self, cubic_p5):
         pr1 = profile(cubic_p5, 1)

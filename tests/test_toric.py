@@ -64,9 +64,26 @@ class TestFanValidation:
         with pytest.raises(ValidationError, match="missing ray"):
             FanData(2, [(1, 0), (0, 1)], [(0, 5)])
 
-    def test_incomplete_fan_fails_spot_check(self):
+    @pytest.mark.parametrize("d,rays,cones", [
+        # one quadrant only
+        (2, [(1, 0), (0, 1)], [(0, 1)]),
+        # P2 with one cone removed
+        (2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]),
+        # cones (2, 3) and (3, 4) overlap
+        (2, [(1, 0), (0, 1), (-1, 3), (0, -1), (-1, -1)],
+         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+        # walls pair up, but the cones wind twice around the origin
+        (2, [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+        # P2 with a cone repeated
+        (2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2), (1, 2)]),
+        (1, [(1,), (-1,)], [(0,)]),
+        (1, [(1,), (-1,)], [(0,), (1,), (1,)]),
+    ], ids=["quadrant", "P2-minus-cone", "overlap", "double-cover",
+            "P2-repeated-cone", "d1-single", "d1-repeated-cone"])
+    def test_incomplete_fan_fails_spot_check(self, d, rays, cones):
         with pytest.raises(ValidationError, match="completeness"):
-            FanData(2, [(1, 0), (0, 1)], [(0, 1)])
+            FanData(d, rays, cones)
 
 
 class TestPolarAndDilate:
@@ -93,9 +110,10 @@ class TestPolarAndDilate:
         assert r == 2  # integral vertices, times max(1, d-1) = 2
 
     def test_non_fano_fan_rejected(self):
-        # rays of a non-convex "fan": vertex violates another constraint
-        fan = FanData(2, [(1, 0), (0, 1), (-1, 3), (0, -1), (-1, -1)],
-                      [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        # the Hirzebruch surface F_3 is complete but not Fano: the vertex
+        # of cone (0, 1) violates the constraint of ray (-1, 3)
+        fan = FanData(2, [(1, 0), (0, 1), (-1, 3), (0, -1)],
+                      [(0, 1), (1, 2), (2, 3), (3, 0)])
         with pytest.raises(ValidationError, match="not Fano"):
             polar_and_dilate(fan)
 
