@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -386,17 +385,12 @@ def _parse_levels(spec: str) -> list[int]:
     return list(range(a, b + 1))
 
 
-def _default_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("FROBW_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as ex:
-            raise UsageError(f"FROBW_THREADS must be an integer, got "
-                             f"{env!r}") from ex
-    return os.cpu_count() or 1
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expects a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -412,7 +406,9 @@ def build_parser() -> _Parser:
         sp.add_argument("--vars", help="comma-separated variable order")
         sp.add_argument("--e", default="1",
                         help="Frobenius level n or range a..b (default 1)")
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=_positive_int, default=1,
+                        help="accepted for older callers; has no effect: "
+                             "ranks run on the calling thread")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="write the report here instead of "
                                       "stdout")
@@ -471,11 +467,10 @@ def _cmd_split(args, stream: TextIO) -> int:
     t0 = time.monotonic()
     ring, text = _build_ring(args, stream)
     levels = _parse_levels(args.e)
-    threads = _default_threads(args.threads)
     profiles: list[SplittingProfile] = []
     prev = None
     for e in range(1, max(levels) + 1):
-        prev = profile(ring, e, prev=prev, threads=threads)
+        prev = profile(ring, e, prev=prev)
         if e in levels:
             profiles.append(prev)
     rep = split_report(ring, profiles, text,
@@ -490,8 +485,7 @@ def _cmd_fano(args, stream: TextIO) -> int:
     if ring.fano_coindex <= 0:
         raise ValidationError(f"non-Fano: v-delta = {ring.fano_coindex}")
     levels = _parse_levels(args.e)
-    threads = _default_threads(args.threads)
-    fr = fano_report(ring, max(levels), threads=threads)
+    fr = fano_report(ring, max(levels))
     rep = fano_report_to_report(ring, fr, text,
                                 int((time.monotonic() - t0) * 1000))
     _emit(rep, args, stream)

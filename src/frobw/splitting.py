@@ -52,7 +52,6 @@ engine (rank_fp_dense, kernel_fp_dense).
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import itertools
 import math
@@ -797,26 +796,6 @@ def m_threshold(ring: GradedHypersurface, e: int,
             f"I_e(m) != 0 at level e={e}")
 
 
-def _b_values(ring: GradedHypersurface, e: int, ms, work_cap, threads):
-    ms = list(ms)
-    try:
-        for m in ms:  # fail fast before any heavy work
-            if (e, m) not in ring._b_cache:  # a cached rank needs no check
-                _check_caps(ring, e, m, work_cap)
-    except InstanceTooLarge:
-        # no rank runs, so none drops the layouts and bases checked so far
-        for m in ms:
-            ring._layout_cache.pop((e, m), None)
-            ring._basis_cache.pop(m, None)
-        raise
-    ring.gq(e)  # materialize the shared power outside the pool
-    if threads and threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            return list(pool.map(
-                lambda m: b_dimension(ring, e, m, work_cap=work_cap), ms))
-    return [b_dimension(ring, e, m, work_cap=work_cap) for m in ms]
-
-
 @dataclass
 class SplittingProfile:
     """Level-e record of the b-profile and its derived invariants."""
@@ -838,7 +817,10 @@ def profile(ring: GradedHypersurface, e: int,
             prev: SplittingProfile | None = None,
             work_cap: float | None = None,
             threads: int = 1) -> SplittingProfile:
-    """Assemble the full level-e profile with its self-checks."""
+    """Assemble the full level-e profile with its self-checks.
+
+    The degrees 0..M_e are ranked in order on the calling thread (BLAS may
+    use its own threads); threads is accepted and has no effect."""
     if ring.fano_coindex <= 0:
         raise ValidationError(
             f"non-Fano: profile needs v > delta (v-delta = "
@@ -854,7 +836,17 @@ def profile(ring: GradedHypersurface, e: int,
     if tail_rows != 0:
         raise InternalCheckError(
             f"tail not zero: {tail_rows} reduced targets at m={M + 1}")
-    b = _b_values(ring, e, range(M + 1), work_cap, threads)
+    try:
+        for m in range(M + 1):  # fail fast before any heavy work
+            if (e, m) not in ring._b_cache:  # a cached rank needs no check
+                _check_caps(ring, e, m, work_cap)
+    except InstanceTooLarge:
+        # no rank runs, so none drops the layouts and bases checked so far
+        for m in range(M + 1):
+            ring._layout_cache.pop((e, m), None)
+            ring._basis_cache.pop(m, None)
+        raise
+    b = [b_dimension(ring, e, m, work_cap=work_cap) for m in range(M + 1)]
     dims = [ring.dim_R(m) for m in range(M + 1)]
     # scan monotonicity: I_e(m) != 0 implies I_e(m+1) != 0
     for m in range(M):
@@ -974,7 +966,8 @@ class FanoReport:
 def fano_report(ring: GradedHypersurface, e_max: int,
                 work_cap: float | None = None,
                 threads: int = 1) -> FanoReport:
-    """Profiles for e = 1..e_max with anticanonically normalized invariants."""
+    """Profiles for e = 1..e_max with anticanonically normalized invariants;
+    threads is accepted and has no effect, as in profile."""
     s = ring.fano_coindex
     if s <= 0:
         raise ValidationError(f"non-Fano: v-delta = {s}")
@@ -983,7 +976,7 @@ def fano_report(ring: GradedHypersurface, e_max: int,
     profiles: list[SplittingProfile] = []
     prev = None
     for e in range(1, e_max + 1):
-        prev = profile(ring, e, prev=prev, work_cap=work_cap, threads=threads)
+        prev = profile(ring, e, prev=prev, work_cap=work_cap)
         profiles.append(prev)
     estimates = [pr.alpha_e / s for pr in profiles]
     uppers = [pr.alpha_upper / s for pr in profiles]

@@ -36,8 +36,9 @@ class FanData:
     """A complete simplicial fan: primitive rays plus maximal cones given as
     sets of d ray indices.
 
-    Construction validates primitivity and simpliciality, and certifies
-    exactly that the cones cover every direction exactly once:
+    Construction validates primitivity, distinct rays and simpliciality,
+    and certifies exactly that the cones cover every direction exactly
+    once:
 
     * every wall (the d-1 rays of a cone other than one ray j) is a wall of
       exactly two cones, whose rays j lie on opposite sides of it;
@@ -60,6 +61,7 @@ class FanData:
                            for cone in cones)
         if not self.rays or not self.cones:
             raise ValidationError("fan needs at least one ray and one cone")
+        first: dict[tuple[int, ...], int] = {}
         for k, ray in enumerate(self.rays):
             if len(ray) != d:
                 raise ValidationError(
@@ -68,6 +70,10 @@ class FanData:
                 raise ValidationError(f"ray {k} is zero")
             if math.gcd(*(abs(a) for a in ray)) != 1:
                 raise ValidationError(f"ray {k} = {ray} is not primitive")
+            # the wall pairing below would report a repeated ray as a gap
+            j = first.setdefault(ray, k)
+            if j != k:
+                raise ValidationError(f"ray {k} repeats ray {j} = {ray}")
         walls: dict[tuple[int, ...], list[bool]] = {}
         for c, cone in enumerate(self.cones):
             if len(set(cone)) != self.d:

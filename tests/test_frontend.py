@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from frobw.frontend import (
     parse_polynomial,
     run_cli,
 )
+from frobw.splitting import diagonal_hypersurface, fano_report, profile
 
 CUBIC = "x0^3+x1^3+x2^3+x3^3"
 
@@ -247,6 +249,10 @@ class TestExitCodes:
         fan.write_text(json.dumps({"dim": 2, "rays": [[2, 0], [0, 1]],
                                    "cones": [[0, 1]]}))
         assert self.run(["toric-alpha", "--fan", str(fan)]) == 3
+        fan.write_text(json.dumps({
+            "dim": 2, "rays": [[1, 0], [0, 1], [-1, -1], [1, 0]],
+            "cones": [[0, 1], [1, 2], [2, 3]]}))
+        assert self.run(["toric-alpha", "--fan", str(fan)]) == 3
 
     def test_oversized_power_refused_fast(self):
         t0 = time.monotonic()
@@ -271,14 +277,44 @@ class TestExitCodes:
         assert "unexpected error (this is a bug)" in err and "boom" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("FROBW_THREADS", "2")
-        buf = io.StringIO()
-        assert run_cli(["split", "--p", "5", "--poly", CUBIC, "--e", "1"],
-                       buf) == 0
-        monkeypatch.setenv("FROBW_THREADS", "junk")
-        assert run_cli(["split", "--p", "5", "--poly", CUBIC, "--e", "1"],
-                       io.StringIO()) == 1
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_must_be_positive(self, threads, capsys):
+        assert self.run(["split", "--p", "5", "--poly", CUBIC,
+                         "--threads", threads]) == 1
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_threads_leave_the_report_unchanged(self):
+        argv = ["split", "--p", "5", "--poly", CUBIC, "--e", "1..2"]
+        assert (_report(argv + ["--threads", "1"])
+                == _report(argv + ["--threads", "4"]))
+
+
+def _report(argv) -> dict:
+    """The JSON report of a CLI request, without its elapsed_ms."""
+    buf = io.StringIO()
+    assert run_cli(argv, buf) == 0
+    rep = json.loads(buf.getvalue())
+    del rep["elapsed_ms"]
+    return rep
+
+
+def test_ranks_start_no_thread(monkeypatch):
+    """threads=4 certifies every rank on the calling thread, with the
+    values of threads=1."""
+    def run(threads):  # fresh rings, so no rank comes from a cache
+        return (profile(diagonal_hypersurface(3, 4, 2), 2, threads=threads),
+                fano_report(diagonal_hypersurface(5, 4, 3), 2,
+                            threads=threads),
+                _report(["split", "--p", "3", "--poly",
+                         "x0^2+x1^2+x2^2+x3^2", "--e", "1..2",
+                         "--threads", str(threads)]))
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    serial = run(1)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run(4) == serial
 
 
 class TestReportObject:

@@ -600,12 +600,6 @@ class TestProfile:
         assert profile(cubic_p5, 1).a_e == FROZEN["cubic_p5_e1_a"]
         assert profile(cubic_p5, 2).a_e == FROZEN["cubic_p5_e2_a"]
 
-    def test_threads_agree(self, quadric_p3):
-        serial = profile(quadric_p3, 2, threads=1)
-        quadric_p3._b_cache.clear()
-        parallel = profile(quadric_p3, 2, threads=4)
-        assert serial.b == parallel.b
-
     def test_non_fano_rejected(self):
         quartic = diagonal_hypersurface(5, 4, 4)
         with pytest.raises(ValidationError, match="non-Fano"):

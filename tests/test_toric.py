@@ -60,6 +60,13 @@ class TestFanValidation:
             FanData(2, [(1, 0), (-1, 0), (0, 1)],
                     [(0, 1), (0, 2), (1, 2)])
 
+    def test_repeated_ray(self):
+        # P2 with (1, 0) again as ray 3: the cones cover the plane, but the
+        # wall pairing would see ray 0 as a gap
+        with pytest.raises(ValidationError, match="ray 3 repeats ray 0"):
+            FanData(2, [(1, 0), (0, 1), (-1, -1), (1, 0)],
+                    [(0, 1), (1, 2), (2, 3)])
+
     def test_missing_ray_index(self):
         with pytest.raises(ValidationError, match="missing ray"):
             FanData(2, [(1, 0), (0, 1)], [(0, 5)])
