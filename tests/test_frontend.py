@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -24,6 +25,7 @@ from frobw.frontend import (
 from frobw.splitting import diagonal_hypersurface, fano_report, profile
 
 CUBIC = "x0^3+x1^3+x2^3+x3^3"
+DATA = Path(__file__).parent / "data"
 
 
 class TestParsePolynomial:
@@ -86,6 +88,25 @@ class TestParsePolynomial:
     def test_constant_term_rejected(self):
         with pytest.raises(ParseError, match="without variables"):
             parse_polynomial("3 + x", 5)
+
+    @pytest.mark.parametrize("text, message", [
+        ("x* + y", "dangling '*' at end of term"),
+        ("x*", "dangling '*' at end of term"),
+        ("x^ + y", "missing exponent after '^' on x"),
+        ("x^*y", "missing exponent after '^' on x"),
+        ("2*3*x", "unexpected '3' in term (expected a variable)"),
+        ("x^2^3", "unexpected '^' in term (expected a variable)"),
+        ("x*2", "unexpected '2' in term (expected a variable)"),
+    ])
+    def test_malformed_term_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, 5)
+        assert str(info.value) == message
+
+    def test_implicit_product(self):
+        src = parse_polynomial("3x y^2", 5)
+        assert src.names == ("x", "y")
+        assert src.poly.terms == {(1, 2): 3}
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_roundtrip_random(self, p):
@@ -315,6 +336,39 @@ def test_ranks_start_no_thread(monkeypatch):
     serial = run(1)
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert run(4) == serial
+
+
+# golden reports, written by the CLI before its parser and report builders
+# were rewritten; elapsed_ms is left out and fan paths are relative to DATA
+GOLDEN = {
+    "split_cubic_p5_e1-2.json": ["split", "--p", "5", "--poly", CUBIC,
+                                 "--e", "1..2"],
+    "split_cubic_p5_e1-2.csv": ["split", "--p", "5", "--poly", CUBIC,
+                                "--e", "1..2", "--format", "csv"],
+    "fano_cubic_p5_e2.json": ["fano", "--p", "5", "--poly", CUBIC,
+                              "--e", "2"],
+    "toric_P2.json": ["toric-alpha", "--fan", "P2.fan.json"],
+    "toric_P1xP1xP1.json": ["toric-alpha", "--fan", "P1xP1xP1.fan.json"],
+    "membership_cubic_p11.json": ["membership", "--p", "11", "--e", "1",
+                                  "--poly", CUBIC,
+                                  "--element", "x0^2*x2^3 - x0^2*x3^3"],
+}
+
+
+def _golden_text(argv) -> str:
+    """The CLI's output for argv, without the line of its elapsed_ms."""
+    buf = io.StringIO()
+    assert run_cli(argv, buf) == 0
+    text, n = re.subn(r'^  "elapsed_ms": \d+,\n', "", buf.getvalue(),
+                      flags=re.M)
+    assert n == (0 if "csv" in argv else 1)
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report(name, monkeypatch):
+    monkeypatch.chdir(DATA)
+    assert _golden_text(GOLDEN[name]).encode() == (DATA / name).read_bytes()
 
 
 class TestReportObject:
