@@ -1,4 +1,16 @@
-"""Polynomial and fan parsers, report serialization, and the CLI.
+"""Polynomial and fan parsers, report builders, and the CLI.
+
+Each request takes one path: parse_polynomial or parse_fan reads its text,
+splitting or toric computes, one report builder makes the Report, and _emit
+writes it as JSON or CSV.
+
+Polynomial grammar (whitespace between tokens is ignored):
+    poly   := sign* term (sign+ term)*     sign := '+' | '-'
+    term   := [integer ['*']] factor (['*'] factor)*
+    factor := ident ['^' integer]          ident := letter (letter | digit)*
+Consecutive signs multiply ("x - -y" is x + y); a sign after the last term
+is an error.  Variables are ordered by first appearance, or by --vars,
+whose names must be distinct identifiers.
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 validation failure
 (including instances over the size caps), 4 internal-check failure or any
@@ -33,15 +45,15 @@ class UsageError(FrobwError):
 # ---------------------------------------------------------------------------
 # polynomial parsing
 
-_TOKEN_RE = re.compile(
-    r"(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<int>\d+)|(?P<op>[\^*+\-])")
+_IDENT = r"[A-Za-z][A-Za-z0-9]*"
+_TOKEN_RE = re.compile(rf"(?P<ident>{_IDENT})|(?P<int>\d+)|(?P<op>[\^*+\-])"
+                       r"|(?P<space>\s+)|(?P<bad>.)")
 
 
 @dataclass
 class PolySource:
-    """A parsed polynomial together with its raw text and variable table."""
+    """A parsed polynomial together with its variable table."""
 
-    raw: str
     names: tuple[str, ...]
     poly: PolynomialFp
     warnings: list[str] = field(default_factory=list)
@@ -51,24 +63,18 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     if "(" in text or ")" in text:
         raise ParseError("implicit product parentheses unsupported")
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unknown character {text[pos]!r} at "
-                             f"position {pos}")
-        tokens.append((m.lastgroup, m.group()))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unknown character {m.group()!r} at "
+                             f"position {m.start()}")
+        if m.lastgroup != "space":
+            tokens.append((m.lastgroup, m.group()))
     return tokens
 
 
 def parse_polynomial(text: str, p: int,
                      var_names: Sequence[str] | None = None) -> PolySource:
-    """Parse a sum of terms: term := [integer][*]? factor ('*'? factor)*,
-    factor := ident ('^' posint)?.
+    """Parse text in the grammar of the module docstring, in one pass.
 
     Variable order is first-appearance order unless var_names is given.
     """
@@ -76,115 +82,79 @@ def parse_polynomial(text: str, p: int,
     if not tokens:
         raise ParseError("empty input")
     field_ = PrimeField(p)
+    names = list(var_names) if var_names is not None else []
+    index: dict[str, int] = {}
+    for name in names:
+        if name in index or not re.fullmatch(_IDENT, name):
+            what = "repeated" if name in index else "not an identifier"
+            raise ParseError(f"--vars name {name!r} is {what}: names must be "
+                             f"distinct identifiers")
+        index[name] = len(index)
     warnings: list[str] = []
-    names: list[str] = list(var_names) if var_names is not None else []
-    fixed_names = var_names is not None
+    parsed: list[tuple[int, dict[int, int]]] = []  # (coefficient, exponents)
+    sign, i, n = 1, 0, len(tokens)
 
-    # split at top-level +/- into signed terms
-    terms: list[tuple[int, list[tuple[str, str]]]] = []
-    sign = 1
-    current: list[tuple[str, str]] = []
-    started = False
-    for kind, tok in tokens:
-        if kind == "op" and tok in "+-" and (started or not current):
-            if current:
-                terms.append((sign, current))
-                current = []
-            elif started:
-                raise ParseError(f"empty term before {tok!r}")
-            sign = -1 if tok == "-" else 1
-            started = False
-        else:
-            current.append((kind, tok))
-            started = True
-    if current:
-        terms.append((sign, current))
-    if not terms:
-        raise ParseError("empty input")
+    def at(*ops: str) -> bool:  # no ident or int token is an operator
+        return i < n and tokens[i][1] in ops
 
-    accum: dict[tuple[int, ...], int] = {}
-    var_index = {n: i for i, n in enumerate(names)}
-
-    for sgn, toks in terms:
-        coeff = sgn
-        exps: dict[str, int] = {}
-        i = 0
-        if toks and toks[0][0] == "int":
-            coeff *= int(toks[0][1])
-            i = 1
-            if i < len(toks) and toks[i] == ("op", "*"):
+    while i < n:
+        if at("+", "-"):
+            sign = -sign if tokens[i][1] == "-" else sign
+            i += 1
+            continue
+        coeff, exps, sign = sign, {}, 1
+        if tokens[i][0] == "int":
+            coeff *= int(tokens[i][1])
+            i += 1
+            if at("*"):
                 i += 1
-        saw_factor = False
-        while i < len(toks):
-            kind, tok = toks[i]
+        while i < n and not at("+", "-"):
+            kind, name = tokens[i]
             if kind != "ident":
-                raise ParseError(f"unexpected {tok!r} in term (expected a "
+                raise ParseError(f"unexpected {name!r} in term (expected a "
                                  f"variable)")
-            name = tok
             i += 1
             power = 1
-            if i < len(toks) and toks[i] == ("op", "^"):
+            if at("^"):
                 i += 1
-                if i >= len(toks) or toks[i][0] != "int":
+                if i == n or tokens[i][0] != "int":
                     raise ParseError(f"missing exponent after '^' on {name}")
-                power = int(toks[i][1])
+                power = int(tokens[i][1])
                 i += 1
                 if power == 0:
                     warnings.append(
                         f"exponent 0 on {name}: write the factor absent "
                         f"instead; accepted")
-            saw_factor = True
-            if name not in var_index:
-                if fixed_names:
+            if name not in index:
+                if var_names is not None:
                     raise ParseError(f"unknown variable {name!r} (not in "
                                      f"the --vars list)")
-                var_index[name] = len(names)
+                index[name] = len(names)
                 names.append(name)
-            exps[name] = exps.get(name, 0) + power
-            if i < len(toks) and toks[i] == ("op", "*"):
+            exps[index[name]] = exps.get(index[name], 0) + power
+            if at("*"):
                 i += 1
-                if i == len(toks):
+                if i == n or at("+", "-"):
                     raise ParseError("dangling '*' at end of term")
-        if not saw_factor:
+        if not exps:
             raise ParseError("term without variables is not supported")
         if coeff % p == 0:
             warnings.append(
                 f"coefficient {coeff} vanishes mod {p}; term dropped")
-        key = exps
-        accum[tuple(sorted(key.items()))] = (
-            accum.get(tuple(sorted(key.items())), 0) + coeff)
+        parsed.append((coeff, exps))
+    if not parsed:
+        raise ParseError("empty input")
+    if tokens[-1][1] in ("+", "-"):
+        raise ParseError(f"trailing {tokens[-1][1]!r} after the last term")
 
-    v = len(names)
-    poly_terms: dict[tuple[int, ...], int] = {}
-    for key, c in accum.items():
-        e = [0] * v
-        for name, a in key:
-            e[var_index[name]] = a
-        tup = tuple(e)
-        poly_terms[tup] = poly_terms.get(tup, 0) + c
-    poly = PolynomialFp(field_, v, poly_terms)
+    terms: dict[tuple[int, ...], int] = {}
+    for coeff, exps in parsed:
+        key = tuple(exps.get(j, 0) for j in range(len(names)))
+        terms[key] = terms.get(key, 0) + coeff
+    poly = PolynomialFp(field_, len(names), terms)
     if poly.is_zero():
         raise ParseError("zero polynomial")
-    return PolySource(raw=text, names=tuple(names), poly=poly,
-                      warnings=warnings)
-
-
-def format_polynomial(poly: PolynomialFp, names: Sequence[str]) -> str:
-    """Canonical text form; re-parsing yields term-identical results."""
-    items = sorted(poly.terms.items(),
-                   key=lambda kv: (sum(kv[0]), tuple(reversed(kv[0]))),
-                   reverse=True)
-    parts = []
-    for exps, c in items:
-        factors = [f"{names[i]}^{a}" if a > 1 else names[i]
-                   for i, a in enumerate(exps) if a > 0]
-        if not factors:
-            raise ValidationError("cannot print a constant term in the "
-                                  "input grammar")
-        if c != 1:
-            factors.insert(0, str(c))
-        parts.append("*".join(factors))
-    return " + ".join(parts)
+    return PolySource(names=tuple(names), poly=poly, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +162,7 @@ def format_polynomial(poly: PolynomialFp, names: Sequence[str]) -> str:
 
 def parse_fan(data: bytes | str) -> FanData:
     """Fan JSON: {"dim": d, "rays": [[...],...], "cones": [[i,...],...]},
-    0-based integer indices."""
+    0-based integer indices; JSON booleans are not integers."""
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as ex:
@@ -203,11 +173,11 @@ def parse_fan(data: bytes | str) -> FanData:
         if key not in obj:
             raise ParseError(f"fan JSON missing key {key!r}")
     dim, rays, cones = obj["dim"], obj["rays"], obj["cones"]
-    if not isinstance(dim, int):
+    if type(dim) is not int:
         raise ParseError("fan 'dim' must be an integer")
     for what, seq in (("rays", rays), ("cones", cones)):
         if not isinstance(seq, list) or not all(
-                isinstance(row, list) and all(isinstance(a, int) for a in row)
+                isinstance(row, list) and all(type(a) is int for a in row)
                 for row in seq):
             raise ParseError(f"fan {what!r} must be a list of integer lists")
     return FanData(dim, rays, cones)
@@ -230,22 +200,11 @@ class Report:
     p: int | None
     results: list
     checks: dict
-    version: str
-    elapsed_ms: int
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input": self.input,
-            "p": self.p,
-            "results": self.results,
-            "checks": self.checks,
-            "version": self.version,
-            "elapsed_ms": self.elapsed_ms,
-        }
+    version: str = __version__
+    elapsed_ms: int = 0  # set by _emit
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         lines = ["e,m,dimRm,b,dimIe"]
@@ -282,7 +241,7 @@ def _profile_result(ring: GradedHypersurface, pr: SplittingProfile) -> dict:
 
 
 def split_report(ring: GradedHypersurface, profiles: list[SplittingProfile],
-                 raw: str, elapsed_ms: int) -> Report:
+                 raw: str) -> Report:
     return Report(
         kind="split",
         input={"poly": raw, "vars": list(ring.names),
@@ -294,14 +253,15 @@ def split_report(ring: GradedHypersurface, profiles: list[SplittingProfile],
             "monotone_ok": all(pr.monotone_ok is not False
                                for pr in profiles),
         },
-        version=__version__,
-        elapsed_ms=elapsed_ms,
     )
 
 
 def fano_report_to_report(ring: GradedHypersurface, fr: FanoReport,
-                          raw: str, elapsed_ms: int) -> Report:
-    results = [_profile_result(ring, pr) for pr in fr.profiles]
+                          raw: str) -> Report:
+    """The split report of fr's profiles plus the normalized entry and its
+    three checks."""
+    rep = split_report(ring, fr.profiles, raw)
+    rep.kind = "fano"
     normalized = {
         "coindex": fr.coindex,
         "alpha_normalized_estimates": [fmt_rational(x) for x in
@@ -316,29 +276,16 @@ def fano_report_to_report(ring: GradedHypersurface, fr: FanoReport,
     if fr.s_half_normalized is not None:
         normalized["s_half_normalized"] = [fmt_rational(x) for x in
                                            fr.s_half_normalized]
-    results.append({"normalized": normalized})
-    return Report(
-        kind="fano",
-        input={"poly": raw, "vars": list(ring.names),
-               "delta": ring.delta, "v": ring.v},
-        p=ring.field.p,
-        results=results,
-        checks={
-            "duality_ok": all(pr.duality_ok for pr in fr.profiles),
-            "monotone_ok": all(pr.monotone_ok is not False
-                               for pr in fr.profiles),
-            "conclusive_below_half": fr.conclusive_below_half,
-            "min_alpha_upper_normalized": fmt_rational(
-                fr.min_alpha_upper_normalized),
-            "slack_above_half": fmt_rational(fr.slack_above_half),
-        },
-        version=__version__,
-        elapsed_ms=elapsed_ms,
-    )
+    rep.results.append({"normalized": normalized})
+    rep.checks.update(
+        conclusive_below_half=fr.conclusive_below_half,
+        min_alpha_upper_normalized=fmt_rational(
+            fr.min_alpha_upper_normalized),
+        slack_above_half=fmt_rational(fr.slack_above_half))
+    return rep
 
 
-def toric_report(fan: FanData, rep: ToricAlphaReport,
-                 source: str, elapsed_ms: int) -> Report:
+def toric_report(fan: FanData, rep: ToricAlphaReport, source: str) -> Report:
     return Report(
         kind="toric-alpha",
         input={"fan": source, "dim": fan.d, "rays": [list(r) for r
@@ -358,8 +305,6 @@ def toric_report(fan: FanData, rep: ToricAlphaReport,
         }],
         checks={"alpha_le_half": rep.alpha <= Fraction(1, 2),
                 "dilation_stable": True},
-        version=__version__,
-        elapsed_ms=elapsed_ms,
     )
 
 
@@ -394,7 +339,8 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="frobw", description=__doc__)
+    parser = _Parser(prog="frobw", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -403,7 +349,8 @@ def build_parser() -> _Parser:
         grp = sp.add_mutually_exclusive_group(required=True)
         grp.add_argument("--poly", help="polynomial text")
         grp.add_argument("--poly-file", help="file containing the polynomial")
-        sp.add_argument("--vars", help="comma-separated variable order")
+        sp.add_argument("--vars", type=lambda text: text.split(","),
+                        help="comma-separated variable order")
         sp.add_argument("--e", default="1",
                         help="Frobenius level n or range a..b (default 1)")
         sp.add_argument("--threads", type=_positive_int, default=1,
@@ -426,7 +373,8 @@ def build_parser() -> _Parser:
     mem.add_argument("--e", type=int, default=1)
     mem.add_argument("--poly", required=True, help="the hypersurface G")
     mem.add_argument("--element", required=True, help="the element to test")
-    mem.add_argument("--vars")
+    mem.add_argument("--vars", type=lambda text: text.split(","))
+    mem.set_defaults(format="json", out=None)
 
     ver = sub.add_parser("verify", help="run the acceptance suite")
     ver.add_argument("--deep", action="store_true",
@@ -434,38 +382,42 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_poly_text(args) -> str:
-    if args.poly is not None:
-        return args.poly
-    try:
-        with open(args.poly_file, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as ex:
-        raise UsageError(f"cannot read {args.poly_file}: {ex}") from ex
-
-
-def _emit(report: Report, args, stream: TextIO) -> None:
+def _emit(report: Report, args, stream: TextIO, t0: float) -> int:
+    """Stamp the report with the milliseconds since t0 and write it."""
+    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
     text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         stream.write(text)
+    return 0
 
 
-def _build_ring(args, stream: TextIO) -> tuple[GradedHypersurface, str]:
-    text = _read_poly_text(args)
-    var_names = args.vars.split(",") if args.vars else None
-    src = parse_polynomial(text, args.p, var_names)
-    for w in src.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    ring = GradedHypersurface(PrimeField(args.p), src.names, src.poly)
-    return ring, text
+def _ring(p: int, *sources: PolySource) -> GradedHypersurface:
+    """The ring of the first source; prints every source's warnings."""
+    for src in sources:
+        for w in src.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+    return GradedHypersurface(PrimeField(p), sources[0].names,
+                              sources[0].poly)
+
+
+def _build_ring(args) -> tuple[GradedHypersurface, str]:
+    text = args.poly
+    if text is None:
+        try:
+            with open(args.poly_file, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as ex:
+            raise UsageError(f"cannot read {args.poly_file}: {ex}") from ex
+    src = parse_polynomial(text, args.p, args.vars)
+    return _ring(args.p, src), text
 
 
 def _cmd_split(args, stream: TextIO) -> int:
     t0 = time.monotonic()
-    ring, text = _build_ring(args, stream)
+    ring, text = _build_ring(args)
     levels = _parse_levels(args.e)
     profiles: list[SplittingProfile] = []
     prev = None
@@ -473,23 +425,14 @@ def _cmd_split(args, stream: TextIO) -> int:
         prev = profile(ring, e, prev=prev)
         if e in levels:
             profiles.append(prev)
-    rep = split_report(ring, profiles, text,
-                       int((time.monotonic() - t0) * 1000))
-    _emit(rep, args, stream)
-    return 0
+    return _emit(split_report(ring, profiles, text), args, stream, t0)
 
 
 def _cmd_fano(args, stream: TextIO) -> int:
     t0 = time.monotonic()
-    ring, text = _build_ring(args, stream)
-    if ring.fano_coindex <= 0:
-        raise ValidationError(f"non-Fano: v-delta = {ring.fano_coindex}")
-    levels = _parse_levels(args.e)
-    fr = fano_report(ring, max(levels))
-    rep = fano_report_to_report(ring, fr, text,
-                                int((time.monotonic() - t0) * 1000))
-    _emit(rep, args, stream)
-    return 0
+    ring, text = _build_ring(args)
+    fr = fano_report(ring, max(_parse_levels(args.e)))
+    return _emit(fano_report_to_report(ring, fr, text), args, stream, t0)
 
 
 def _cmd_toric(args, stream: TextIO) -> int:
@@ -500,22 +443,15 @@ def _cmd_toric(args, stream: TextIO) -> int:
     except OSError as ex:
         raise UsageError(f"cannot read {args.fan}: {ex}") from ex
     fan = parse_fan(data)
-    result = toric_alpha(fan)
-    rep = toric_report(fan, result, args.fan,
-                       int((time.monotonic() - t0) * 1000))
-    _emit(rep, args, stream)
-    return 0
+    rep = toric_report(fan, toric_alpha(fan), args.fan)
+    return _emit(rep, args, stream, t0)
 
 
 def _cmd_membership(args, stream: TextIO) -> int:
     t0 = time.monotonic()
-    var_names = args.vars.split(",") if args.vars else None
-    src = parse_polynomial(args.poly, args.p, var_names)
+    src = parse_polynomial(args.poly, args.p, args.vars)
     elem = parse_polynomial(args.element, args.p, src.names)
-    for w in src.warnings + elem.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    ring = GradedHypersurface(PrimeField(args.p), src.names, src.poly)
-    res = membership_check(ring, args.e, elem.poly)
+    res = membership_check(_ring(args.p, src, elem), args.e, elem.poly)
     rep = Report(
         kind="membership",
         input={"poly": args.poly, "element": args.element,
@@ -524,11 +460,8 @@ def _cmd_membership(args, stream: TextIO) -> int:
         results=[{"member": bool(res),
                   "in_principal_ideal": res.in_principal_ideal}],
         checks={},
-        version=__version__,
-        elapsed_ms=int((time.monotonic() - t0) * 1000),
     )
-    stream.write(rep.to_json() + "\n")
-    return 0
+    return _emit(rep, args, stream, t0)
 
 
 def _cmd_verify(args, stream: TextIO) -> int:

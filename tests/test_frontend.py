@@ -15,17 +15,24 @@ import pytest
 
 import frobw.frontend as frontend
 from frobw.errors import ParseError
-from frobw.frontend import (
-    Report,
-    format_polynomial,
-    parse_fan,
-    parse_polynomial,
-    run_cli,
-)
+from frobw.ffkernel import PolynomialFp, PrimeField
+from frobw.frontend import Report, parse_fan, parse_polynomial, run_cli
 from frobw.splitting import diagonal_hypersurface, fano_report, profile
 
 CUBIC = "x0^3+x1^3+x2^3+x3^3"
 DATA = Path(__file__).parent / "data"
+
+
+def format_polynomial(poly: PolynomialFp, names) -> str:
+    """poly in the input grammar, for a poly without a constant term."""
+    parts = []
+    for exps, c in poly.terms.items():
+        factors = [f"{names[i]}^{a}" if a > 1 else names[i]
+                   for i, a in enumerate(exps) if a > 0]
+        if c != 1:
+            factors.insert(0, str(c))
+        parts.append("*".join(factors))
+    return " + ".join(parts)
 
 
 class TestParsePolynomial:
@@ -103,6 +110,33 @@ class TestParsePolynomial:
             parse_polynomial(text, 5)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text, terms", [
+        ("--x", {(1,): 1}),
+        ("x + -y", {(1, 0): 1, (0, 1): 4}),
+        ("x - -y", {(1, 0): 1, (0, 1): 1}),
+        ("- + -x", {(1,): 1}),
+    ])
+    def test_consecutive_signs_multiply(self, text, terms):
+        assert parse_polynomial(text, 5).poly.terms == terms
+
+    @pytest.mark.parametrize("text, sign", [("x -", "-"), ("x +", "+"),
+                                            ("x + y --", "-")])
+    def test_trailing_sign_rejected(self, text, sign):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, 5)
+        assert str(info.value) == f"trailing {sign!r} after the last term"
+
+    @pytest.mark.parametrize("text", ["-", "+ -"])
+    def test_no_term_is_empty_input(self, text):
+        with pytest.raises(ParseError, match="empty input"):
+            parse_polynomial(text, 5)
+
+    @pytest.mark.parametrize("names", [["x", "x", "y"], ["x", "", "y"],
+                                       ["x", "2y"], ["x", " y"], [""]])
+    def test_vars_must_be_distinct_identifiers(self, names):
+        with pytest.raises(ParseError, match="distinct identifiers"):
+            parse_polynomial("x^2 + y^2", 5, names)
+
     def test_implicit_product(self):
         src = parse_polynomial("3x y^2", 5)
         assert src.names == ("x", "y")
@@ -122,7 +156,6 @@ class TestParsePolynomial:
                 terms[exps] = rng.randint(1, p - 1)
             if not terms:
                 continue
-            from frobw.ffkernel import PolynomialFp, PrimeField
             poly = PolynomialFp(PrimeField(p), len(names), terms)
             if poly.is_zero():
                 continue
@@ -152,6 +185,15 @@ class TestParseFan:
         with pytest.raises(ParseError, match="integer"):
             parse_fan(json.dumps({"dim": 2, "rays": [[0.5, 1]],
                                   "cones": [[0]]}))
+
+    @pytest.mark.parametrize("fan", [
+        {"dim": True, "rays": [[1], [-1]], "cones": [[0], [1]]},
+        {"dim": 1, "rays": [[True], [-1]], "cones": [[0], [1]]},
+        {"dim": 1, "rays": [[1], [-1]], "cones": [[0], [True]]},
+    ])
+    def test_booleans_are_not_integers(self, fan):
+        with pytest.raises(ParseError, match="integer"):
+            parse_fan(json.dumps(fan))
 
 
 class TestReports:
@@ -253,6 +295,25 @@ class TestExitCodes:
                          "--poly", "x^2(z^3-w^3)", "--e", "1"]) == 2
         assert self.run(["split", "--p", "5", "--poly", "x - x",
                          "--e", "1"]) == 2
+
+    @pytest.mark.parametrize("poly", ["x^2 + y^2 -", "x^2 + y^2 +"])
+    def test_trailing_sign(self, poly, capsys):
+        assert self.run(["split", "--p", "5", "--poly", poly]) == 2
+        assert "after the last term" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names", ["x,x,y,z", "x,,y,z", "x,y,z,",
+                                       "x,y,3z", ""])
+    def test_bad_vars(self, names, capsys):
+        poly = ["--p", "5", "--poly", "x^2+y^2+z^2", "--vars", names]
+        assert self.run(["split"] + poly) == 2
+        assert self.run(["membership", "--element", "x"] + poly) == 2
+        assert capsys.readouterr().err.count("distinct identifiers") == 2
+
+    def test_fan_booleans_exit_code(self, tmp_path):
+        fan = tmp_path / "bool.json"
+        fan.write_text(json.dumps({"dim": True, "rays": [[True], [-1]],
+                                   "cones": [[0], [True]]}))
+        assert self.run(["toric-alpha", "--fan", str(fan)]) == 2
 
     def test_validation_errors(self):
         # Calabi-Yau quartic: non-Fano
