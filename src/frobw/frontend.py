@@ -338,6 +338,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _join_signed_values(argv: Sequence[str]) -> list[str]:
+    """argparse takes a word that starts with '-' for an option, which would
+    leave --poly in "--poly -x^2-y^2" without its text.  So a word that
+    starts with one '-' and follows --poly or --element is joined to it:
+    "--poly=-x^2-y^2"."""
+    out: list[str] = []
+    for word in argv:
+        if (out and out[-1] in ("--poly", "--element")
+                and word.startswith("-") and not word.startswith("--")):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="frobw", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -365,7 +380,9 @@ def build_parser() -> _Parser:
 
     toric = sub.add_parser("toric-alpha", help="exact toric alpha")
     toric.add_argument("--fan", required=True, help="fan JSON file")
-    toric.add_argument("--format", choices=("json", "csv"), default="json")
+    toric.add_argument("--format", choices=("json",), default="json",
+                       help="json only: a toric report has no b-profile "
+                            "table")
     toric.add_argument("--out")
 
     mem = sub.add_parser("membership", help="splitting-ideal membership")
@@ -474,7 +491,7 @@ def run_cli(argv: Sequence[str],
     stream = stream if stream is not None else sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(argv))
         handler = {
             "split": _cmd_split,
             "fano": _cmd_fano,

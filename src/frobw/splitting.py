@@ -747,53 +747,88 @@ def fedder_is_fsplit(ring: GradedHypersurface, e: int) -> bool:
     return W.shape[0] > 0
 
 
+def _first(pred, hi: int) -> int:
+    """The least m in [1, hi] with pred(m), for pred monotone on [1, hi)
+    and taken as true at hi, where it is not called: galloping from 1, then
+    bisection."""
+    lo, m = 0, 1
+    while m < hi and not pred(m):
+        lo, m = m, min(2 * m, hi)
+    while m - lo > 1:
+        mid = (lo + m) // 2
+        lo, m = (lo, mid) if pred(mid) else (mid, m)
+    return m
+
+
 def m_threshold(ring: GradedHypersurface, e: int,
                 work_cap: float | None = None) -> int:
     """The largest m with I_e(m) = 0.
 
     Multiplication by a linear form embeds I_e(m) into I_e(m+1) on a
-    domain, so "I_e(m) != 0" is monotone in m and the threshold can be
-    bracketed by galloping and then bisected.  Each probe first looks for a
-    zero column (a monomial witness, linear work) and falls back to the
-    certified rank only when no witness exists.
+    domain, so "I_e(m) != 0" is monotone in m.  The search has two phases.
+
+    1. The witness boundary.  Galloping and then bisection on the zero-column
+       scan alone (linear work, no layout, no rank) find the first degree w
+       with a monomial witness, or scan_cap + 1 without one.  Witness
+       degrees form an upper interval: if u is a witness at degree m and
+       u_k < lt(G)_k, then for any j != k, x_j * u is a restricted basis
+       monomial of degree m + 1 whose every product with a term of G^(q-1)
+       keeps the exponent of u's product that passed q - 1.
+    2. The rank at w - 1.  I_e(w) != 0, so I_e(w - 1) = 0 settles
+       m_e = w - 1 with one rank.  Only when I_e(w - 1) != 0 do galloping
+       and bisection run again, on the certified ranks, with every degree
+       from w - 1 on known nonzero: they search [0, w - 1) and probe where
+       a search that ranks every probe without a witness would, so a
+       threshold below w - 1 pays at most one rank more than that search,
+       the one at w - 1.
+
+    Correctness rests on the monotonicity of "I_e(m) != 0" alone; that of
+    the witnesses only makes the search fast.  Phase 1 keeps only the basis
+    of its largest witness-free probe, w - 1, which the first rank uses;
+    every other basis it scans is dropped.  A rank refused by a cap ends
+    the search in a linear scan from the last degree known to be zero, so
+    only a rank the answer needs can raise.
     """
     if not fedder_is_fsplit(ring, e):
         raise ValidationError(f"not F-split at level e={e}")
     q = ring.field.p ** e
     scan_cap = (q - 1) * max(ring.fano_coindex, 1)
+    ring._term_masks(e)  # a refused mask table raises before any scan
+    kept = None  # the largest witness-free probe, whose basis is kept
+
+    def witness(m: int) -> bool:
+        nonlocal kept
+        if _has_zero_column(ring, e, m):
+            ring._basis_cache.pop(m, None)
+            return True
+        ring._basis_cache.pop(kept, None)
+        kept = m
+        return False
+
+    zero = 0  # the last degree known to be zero: I_e(0) = 0 by Fedder
 
     def nonzero(m: int) -> bool:
-        if _has_zero_column(ring, e, m):
-            ring._basis_cache.pop(m, None)  # no rank will drop it
+        nonlocal zero
+        if b_dimension(ring, e, m, work_cap=work_cap) < ring.dim_R(m):
             return True
-        return b_dimension(ring, e, m, work_cap=work_cap) < ring.dim_R(m)
+        zero = m  # the searches rank zeros in increasing order
+        return False
 
-    lo = 0  # I_e(0) = 0 by the Fedder check above
+    w = _first(witness, scan_cap + 1)
     try:
-        hi = 1
-        while hi <= scan_cap and not nonzero(hi):
-            lo = hi
-            hi = min(2 * hi, scan_cap + 1)
-        if hi > scan_cap:
-            raise InternalCheckError(
-                f"threshold scan passed the cap m={scan_cap} without finding "
-                f"I_e(m) != 0 at level e={e}")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            hi, lo = (mid, lo) if nonzero(mid) else (hi, mid)
-        return lo
+        if w > 1 and nonzero(w - 1):
+            return _first(lambda m: m >= w - 1 or nonzero(m),
+                          scan_cap + 1) - 1
     except InstanceTooLarge:
-        # a probe overshot the feasible size; finish linearly from the last
-        # degree known to be zero, so only ranks that are genuinely needed
-        # can hit the work cap
-        m = lo + 1
-        while m <= scan_cap:
+        # every degree from w on holds a witness
+        for m in range(zero + 1, w):
             if nonzero(m):
                 return m - 1
-            m += 1
+    if w > scan_cap:
         raise InternalCheckError(
             f"threshold scan passed the cap m={scan_cap} without finding "
             f"I_e(m) != 0 at level e={e}")
+    return w - 1
 
 
 @dataclass

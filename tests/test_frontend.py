@@ -365,10 +365,29 @@ class TestExitCodes:
                          "--threads", threads]) == 1
         assert "positive integer" in capsys.readouterr().err
 
+    def test_toric_csv_refused(self, capsys):
+        # a toric report has no b-profile table to write as CSV
+        argv = ["toric-alpha", "--fan", str(DATA / "P2.fan.json")]
+        assert self.run(argv + ["--format", "csv"]) == 1
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+        assert self.run(argv + ["--format", "json"]) == 0
+
     def test_threads_leave_the_report_unchanged(self):
         argv = ["split", "--p", "5", "--poly", CUBIC, "--e", "1..2"]
         assert (_report(argv + ["--threads", "1"])
                 == _report(argv + ["--threads", "4"]))
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    (["split", "--p", "5", "--poly", "-x^2-y^2-z^2", "--e", "1..2"],
+     ["split", "--p", "5", "--poly=-x^2-y^2-z^2", "--e", "1..2"]),
+    (["membership", "--p", "5", "--poly", "-x0^3-x1^3-x2^3-x3^3",
+      "--element", "-x0^2"],
+     ["membership", "--p", "5", "--poly=-x0^3-x1^3-x2^3-x3^3",
+      "--element=-x0^2"]),
+])
+def test_leading_sign_as_separate_word(spaced, joined):
+    assert _report(spaced) == _report(joined)
 
 
 def _report(argv) -> dict:

@@ -498,9 +498,10 @@ class TestSymmetryOrbits:
 
 class TestThresholds:
     def test_probe_builds_basis_once(self, monkeypatch):
-        # each probe looks for a zero column first and ranks only without
-        # one; both steps share one basis, and the witness scan never
-        # enumerates the target monomials of a layout
+        # the witness scans at 1, 2, 4, 8, 16, 12, 10 and 9 find the first
+        # zero column at w = 9; only w - 1 = 8 is ranked, on the basis its
+        # scan kept, and no scan enumerates the target monomials of a
+        # layout
         ring = diagonal_hypersurface(3, 4, 2)
         built, laid_out = [], []
         basis = GradedHypersurface.restricted_basis
@@ -519,25 +520,68 @@ class TestThresholds:
         assert m_threshold(ring, 2) == 8
         ranked = {m for e, m in ring._b_cache}
         assert len(built) == len(set(built)) == 8
-        assert ranked == {1, 2, 4, 8} and set(laid_out) == ranked
+        assert ranked == {8} and set(laid_out) == ranked
 
     def test_threshold_drops_every_basis(self):
-        # the probes at 16, 12, 10 and 9 find a zero column and compute no
-        # rank; their bases are dropped all the same
+        # the scans at 16, 12, 10 and 9 find a zero column and drop their
+        # bases; those of 1, 2 and 4 are dropped when a larger probe without
+        # a zero column replaces them, and the rank at 8 drops the one kept
         ring = diagonal_hypersurface(3, 4, 2)
         assert m_threshold(ring, 2) == 8
         assert not ring._basis_cache and not ring._layout_cache
 
     def test_refused_degree_keeps_no_cache(self):
-        # m_threshold: the galloping probe at 16 and the linear probe at 14
-        # are refused by the work cap after their layouts are counted;
-        # profile: the pre-check refuses 14 after counting degrees 0..13
+        # m_threshold: the first zero column is at 25, the rank at 24 and
+        # then, scanning linearly from 1, the rank at 14 are refused by the
+        # work cap after their layouts are counted; profile: the pre-check
+        # refuses 14 after counting degrees 0..13
         for run in (m_threshold, profile):
             ring = diagonal_hypersurface(5, 5, 2)
             with pytest.raises(InstanceTooLarge,
                                match="at m=14: .* work cap"):
                 run(ring, 2, work_cap=1e6)
             assert not ring._layout_cache and not ring._basis_cache
+
+    @pytest.mark.parametrize("ring,e", [
+        # the quadrics and cubics of criteria 2, 3 and 6 but Q_3 at p = 5,
+        # e = 2, whose profile is criterion 5's slowest (criterion 2 pins
+        # its threshold at p^e - 1)
+        *[pytest.param((p, v, delta), e, id=f"p{p}v{v}d{delta}e{e}")
+          for p, v, delta, e in [
+              (3, 4, 2, 1), (3, 4, 2, 2), (5, 4, 2, 1), (5, 4, 2, 2),
+              (3, 5, 2, 1), (3, 5, 2, 2), (5, 5, 2, 1), (5, 4, 3, 1),
+              (5, 4, 3, 2), (7, 4, 3, 1)]],
+        pytest.param("ungraded", 1, id="ungraded-e1"),
+        pytest.param("ungraded", 2, id="ungraded-e2"),
+        # conics, all but p = 5, e = 1 loose: m_e < w - 1 for the first
+        # zero column w (at p = 7, e = 2, m_e = 24 and w = 42)
+        *[pytest.param((p, 3, 2), e, id=f"conic-p{p}e{e}")
+          for p in (5, 7, 11) for e in (1, 2)]])
+    def test_threshold_matches_profile(self, ring, e):
+        # profile reads m_e off the full certified b-list
+        def make():
+            return (ungraded_quadric() if ring == "ungraded"
+                    else diagonal_hypersurface(*ring))
+        assert m_threshold(make(), e) == profile(make(), e).m_e
+
+    @pytest.mark.parametrize("p,v,delta,e", [
+        (3, 4, 2, 1), (3, 4, 2, 2), (5, 4, 2, 2), (3, 5, 2, 2),
+        (5, 4, 3, 2)])
+    def test_tight_threshold_ranks_only_m_e(self, p, v, delta, e):
+        # the first zero column is at m_e + 1, so one rank settles m_e
+        ring = diagonal_hypersurface(p, v, delta)
+        m = m_threshold(ring, e)
+        assert set(ring._b_cache) == {(e, m)}
+
+    def test_loose_threshold_pays_one_rank_at_w_minus_1(self):
+        # x^2 + y^2 + z^2 at p = 7, e = 2: m_e = 24, the first zero column
+        # is at w = 42; past the rank at 41, the search ranks only the
+        # probes below 41 of a search on the ranks alone: 1, 2, 4, 8, 16,
+        # 32, then 24, 28, 26 and 25
+        ring = diagonal_hypersurface(7, 3, 2)
+        assert m_threshold(ring, 2) == 24
+        assert sorted(m for _, m in ring._b_cache) \
+            == [1, 2, 4, 8, 16, 24, 25, 26, 28, 32, 41]
 
     @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 1)])
     def test_quadric_threshold(self, p, e):
@@ -582,8 +626,8 @@ class TestProfile:
         assert pr.monotone_ok is None
 
     def test_cached_ranks_keep_no_layout(self):
-        # the threshold caches two ranks; the profile's pre-check skips
-        # them, so every layout it counts is dropped by its rank
+        # the threshold caches the rank at m_1 = 2; the profile's pre-check
+        # skips it, so every layout it counts is dropped by its rank
         ring = diagonal_hypersurface(3, 4, 2)
         m_threshold(ring, 1)
         profile(ring, 1)
