@@ -359,15 +359,14 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_poly_args(sp):
+    def add_poly_args(sp, levels_help):
         sp.add_argument("--p", type=int, required=True, help="prime")
         grp = sp.add_mutually_exclusive_group(required=True)
         grp.add_argument("--poly", help="polynomial text")
         grp.add_argument("--poly-file", help="file containing the polynomial")
         sp.add_argument("--vars", type=lambda text: text.split(","),
                         help="comma-separated variable order")
-        sp.add_argument("--e", default="1",
-                        help="Frobenius level n or range a..b (default 1)")
+        sp.add_argument("--e", default="1", help=levels_help)
         sp.add_argument("--threads", type=_positive_int, default=1,
                         help="accepted for older callers; has no effect: "
                              "ranks run on the calling thread")
@@ -375,8 +374,11 @@ def build_parser() -> _Parser:
         sp.add_argument("--out", help="write the report here instead of "
                                       "stdout")
 
-    add_poly_args(sub.add_parser("split", help="b-profiles and thresholds"))
-    add_poly_args(sub.add_parser("fano", help="normalized Fano report"))
+    add_poly_args(sub.add_parser("split", help="b-profiles and thresholds"),
+                  "Frobenius level n or range a..b (default 1)")
+    add_poly_args(sub.add_parser("fano", help="normalized Fano report"),
+                  "top Frobenius level b, or 1..b: every level from 1 to b "
+                  "is reported (default 1)")
 
     toric = sub.add_parser("toric-alpha", help="exact toric alpha")
     toric.add_argument("--fan", required=True, help="fan JSON file")
@@ -447,8 +449,12 @@ def _cmd_split(args, stream: TextIO) -> int:
 
 def _cmd_fano(args, stream: TextIO) -> int:
     t0 = time.monotonic()
+    levels = _parse_levels(args.e)
+    if ".." in args.e and levels[0] > 1:
+        raise UsageError(f"fano reports every level from 1 to b: give --e "
+                         f"as b or 1..b, got {args.e!r}")
     ring, text = _build_ring(args)
-    fr = fano_report(ring, max(_parse_levels(args.e)))
+    fr = fano_report(ring, levels[-1])
     return _emit(fano_report_to_report(ring, fr, text), args, stream, t0)
 
 

@@ -129,10 +129,8 @@ class GradedHypersurface:
         exps = sorted(G.terms)
         self._w0 = np.array(exps[0], dtype=np.int64)
         self._lattice = _grading_lattice(exps)
-        self._gq_cache: dict[int, PolynomialFp] = {}
         self._gq_arrays_cache: dict[int, tuple] = {}
         self._term_masks_cache: dict[int, np.ndarray] = {}
-        self._basis_cache: dict[int, np.ndarray] = {}
         self._layout_cache: dict[tuple[int, int], _Layout] = {}
         self._b_cache: dict[tuple[int, int], int] = {}
 
@@ -154,11 +152,8 @@ class GradedHypersurface:
         return self.dim_S(m) - self.dim_S(m - self.delta)
 
     def gq(self, e: int) -> PolynomialFp:
-        """G^(p^e - 1), cached."""
-        if e not in self._gq_cache:
-            self._gq_cache[e] = digit_power(self.G, e,
-                                            term_cap=DEFAULT_POWER_TERM_CAP)
-        return self._gq_cache[e]
+        """G^(p^e - 1), powered per call: the ring keeps only _gq_arrays."""
+        return digit_power(self.G, e, term_cap=DEFAULT_POWER_TERM_CAP)
 
     def _gq_arrays(self, e: int):
         """The terms of G^(p^e - 1) with every exponent <= q - 1, the only
@@ -345,43 +340,29 @@ class _Layout(NamedTuple):
     weights: list[int]
 
 
-def _basis(ring: GradedHypersurface, m: int) -> np.ndarray:
-    """The restricted basis of degree m, built once and shared by the
-    witness scan and the layouts until a rank of degree m is cached."""
-    if m not in ring._basis_cache:
-        ring._basis_cache[m] = ring.restricted_basis(m)
-    return ring._basis_cache[m]
-
-
 def _layout(ring: GradedHypersurface, e: int, m: int) -> _Layout:
-    """The layout of Phi_{e,m}, computed once per (e, m): the basis and its
-    class labels serve both the work estimate and the rank."""
-    key = (e, m)
-    if key not in ring._layout_cache:
-        q = ring.field.p ** e
-        basis = _basis(ring, m)
-        cols = basis.shape[0]
-        rows = n_monomials_capped(ring.v, m + ring.delta * (q - 1), q - 1)
-        if ring._lattice is None or rows == 0 or cols == 0:
-            layout = _Layout(basis, [(rows, cols)], [np.arange(cols)], [1])
-        else:
-            targets = (exponent_array(ring.v, m + ring.delta * (q - 1), q - 1)
-                       - (q - 1) * ring._w0)
-            labels = _class_labels(ring, np.concatenate([basis, targets]))
-            ncls = int(labels.max()) + 1
-            col_labels = labels[:cols]
-            per_col = np.bincount(col_labels, minlength=ncls)
-            per_row = np.bincount(labels[cols:], minlength=ncls)
-            order = np.argsort(col_labels, kind="stable")
-            bounds = np.concatenate(([0], np.cumsum(per_col)))
-            live = np.flatnonzero(per_col)
-            shapes = [(int(per_row[c]), int(per_col[c])) for c in live]
-            layout = _Layout(
-                basis, shapes,
-                [order[bounds[c]:bounds[c + 1]] for c in live],
-                _orbit_weights(ring, basis[order[bounds[live]]], shapes))
-        ring._layout_cache[key] = layout
-    return ring._layout_cache[key]
+    """The layout of Phi_{e,m}, built from a fresh restricted basis: the
+    basis and its class labels serve both the work estimate and the rank."""
+    q = ring.field.p ** e
+    basis = ring.restricted_basis(m)
+    cols = basis.shape[0]
+    rows = n_monomials_capped(ring.v, m + ring.delta * (q - 1), q - 1)
+    if ring._lattice is None or rows == 0 or cols == 0:
+        return _Layout(basis, [(rows, cols)], [np.arange(cols)], [1])
+    targets = (exponent_array(ring.v, m + ring.delta * (q - 1), q - 1)
+               - (q - 1) * ring._w0)
+    labels = _class_labels(ring, np.concatenate([basis, targets]))
+    ncls = int(labels.max()) + 1
+    col_labels = labels[:cols]
+    per_col = np.bincount(col_labels, minlength=ncls)
+    per_row = np.bincount(labels[cols:], minlength=ncls)
+    order = np.argsort(col_labels, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(per_col)))
+    live = np.flatnonzero(per_col)
+    shapes = [(int(per_row[c]), int(per_col[c])) for c in live]
+    return _Layout(basis, shapes,
+                   [order[bounds[c]:bounds[c + 1]] for c in live],
+                   _orbit_weights(ring, basis[order[bounds[live]]], shapes))
 
 
 def _orbit_weights(ring: GradedHypersurface, firsts: np.ndarray,
@@ -454,7 +435,7 @@ def _has_zero_column(ring: GradedHypersurface, e: int, m: int) -> bool:
     i.e. u is a monomial witness for I_e(m) != 0.  Linear work, no rank,
     and no enumeration of the target monomials."""
     return any(not acc.any(axis=1).all()
-               for _, acc in _column_scan(ring, e, _basis(ring, m)))
+               for _, acc in _column_scan(ring, e, ring.restricted_basis(m)))
 
 
 class _Block(NamedTuple):
@@ -513,42 +494,43 @@ def _estimate_flops(rows: int, cols: int) -> float:
 
 
 def _check_caps(ring: GradedHypersurface, e: int, m: int,
-                work_cap: float | None) -> None:
-    """Refuse Phi_{e,m} before any block is built when its side, its row
-    keys or its work estimate passes a cap.  A refused degree keeps nothing
-    it cached: its layout and basis are dropped."""
-
-    def refused(message: str) -> InstanceTooLarge:
-        ring._layout_cache.pop((e, m), None)
-        ring._basis_cache.pop(m, None)
-        return InstanceTooLarge(f"instance too large at m={m}: {message}")
-
+                work_cap: float | None) -> _Layout:
+    """The layout of Phi_{e,m}, refused before any block is built when its
+    side, its row keys or its work estimate passes a cap.  The layout is
+    taken off ring._layout_cache, where only profile leaves layouts, or
+    built anew; the estimate always runs again.  Nothing is evicted by hand:
+    a refused layout goes with this call, a returned one with its caller."""
     q = ring.field.p ** e
     cols = ring.dim_R(m)
     rows = n_monomials_capped(ring.v, m + ring.delta * (q - 1), q - 1)
     if cols > MAX_MATRIX_SIDE or rows > MAX_MATRIX_SIDE:
-        raise refused(f"matrix is {rows} x {cols}, side cap "
-                      f"{MAX_MATRIX_SIDE}")
+        raise InstanceTooLarge(
+            f"instance too large at m={m}: matrix is {rows} x {cols}, side "
+            f"cap {MAX_MATRIX_SIDE}")
     if q ** ring.v >= 2 ** 63:
-        raise refused(f"row keys of {ring.v} exponents below q={q} reach "
-                      f"q^{ring.v} >= 2^63")
+        raise InstanceTooLarge(
+            f"instance too large at m={m}: row keys of {ring.v} exponents "
+            f"below q={q} reach q^{ring.v} >= 2^63")
     cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
-    layout = _layout(ring, e, m)
+    layout = ring._layout_cache.pop((e, m), None) or _layout(ring, e, m)
     shapes = layout.shapes
     ranked = [s for s, w in zip(shapes, layout.weights) if w]
     est = sum(_estimate_flops(r, c) for r, c in ranked)
     if est > cap:
         r, c = max(ranked, key=lambda s: _estimate_flops(*s))
-        raise refused(
-            f"estimated {est:.2e} elimination operations on a {rows} x "
-            f"{cols} matrix in {len(shapes)} block(s), the largest {r} x "
-            f"{c}, exceeds the work cap {cap:.2e}; pass a larger work_cap "
-            f"to force the attempt")
+        raise InstanceTooLarge(
+            f"instance too large at m={m}: estimated {est:.2e} elimination "
+            f"operations on a {rows} x {cols} matrix in {len(shapes)} "
+            f"block(s), the largest {r} x {c}, exceeds the work cap "
+            f"{cap:.2e}; pass a larger work_cap to force the attempt")
+    return layout
 
 
 def b_dimension(ring: GradedHypersurface, e: int, m: int,
                 work_cap: float | None = None) -> int:
-    """b_e(m) = dim R_m - dim I_e(m) = rank Phi_{e,m}.  Certified exact."""
+    """b_e(m) = dim R_m - dim I_e(m) = rank Phi_{e,m}.  Certified exact.
+    The ring keeps the rank; the layout, from _check_caps, is a local that
+    lives only as long as this call, so nothing is evicted by hand."""
     if e < 1:
         raise ValidationError(f"level must be >= 1, got {e}")
     if m < 0:
@@ -556,25 +538,22 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
     key = (e, m)
     if key in ring._b_cache:
         return ring._b_cache[key]
-    _check_caps(ring, e, m, work_cap)
-    layout = _layout(ring, e, m)
-    b = _certify(ring, e, m, [(k, 0 if _sketched(*layout.shapes[k]) else None)
-                              for k, w in enumerate(layout.weights) if w])
+    layout = _check_caps(ring, e, m, work_cap)
+    b = _certify(ring, e, m, layout,
+                 [(k, 0 if _sketched(*layout.shapes[k]) else None)
+                  for k, w in enumerate(layout.weights) if w])
     ring._b_cache[key] = b
-    # the cached rank replaces the layout and its basis
-    ring._layout_cache.pop(key, None)
-    ring._basis_cache.pop(m, None)
     return b
 
 
-def _certify(ring: GradedHypersurface, e: int, m: int,
+def _certify(ring: GradedHypersurface, e: int, m: int, layout: _Layout,
              jobs: list[tuple[int, int | None]]) -> int:
     """Sum of the certified ranks of the blocks of Phi_{e,m} that jobs name,
     each counted its layout weight times.
 
     A job is a block of the layout with its sketch attempt, or None for a
     block eliminated exactly; a block with no more nonzero rows than its
-    first sketch is eliminated exactly.  The block's nonzero
+    sketch at that attempt is eliminated exactly.  The block's nonzero
     columns pick the engine: at most _BATCH_COLS go to kernel_fp_batched,
     flushed at _BATCH_CELLS stack cells plus held nonzeros; wider blocks go
     one at a time to rank_fp_dense (exact) or kernel_fp_dense (sketch).  A
@@ -582,7 +561,6 @@ def _certify(ring: GradedHypersurface, e: int, m: int,
     true block; a sketch failing its check comes back at attempt + 1.
     """
     p = ring.field.p
-    layout = _layout(ring, e, m)
     retries, queue, cells = [], [], 0
 
     def settle(k, attempt, rank, K, true) -> int:
@@ -622,7 +600,7 @@ def _certify(ring: GradedHypersurface, e: int, m: int,
             continue
         # the row bound that chose the sketch counts every target of the
         # class, not only the built rows
-        if attempt == 0 and nrows <= _sketch_rows(ncols, 0):
+        if attempt is not None and nrows <= _sketch_rows(ncols, attempt):
             attempt = None
         # a wide block's matrix lives only as long as its engine call
         if ncols > _BATCH_COLS:
@@ -646,7 +624,7 @@ def _certify(ring: GradedHypersurface, e: int, m: int,
             total += flush()
             queue, cells = [], 0
     total += flush()
-    return total + _certify(ring, e, m, retries) if retries else total
+    return total + _certify(ring, e, m, layout, retries) if retries else total
 
 
 def _dense(blk: _Block, tall: bool) -> np.ndarray:
@@ -783,28 +761,17 @@ def m_threshold(ring: GradedHypersurface, e: int,
        the one at w - 1.
 
     Correctness rests on the monotonicity of "I_e(m) != 0" alone; that of
-    the witnesses only makes the search fast.  Phase 1 keeps only the basis
-    of its largest witness-free probe, w - 1, which the first rank uses;
-    every other basis it scans is dropped.  A rank refused by a cap ends
-    the search in a linear scan from the last degree known to be zero, so
-    only a rank the answer needs can raise.
+    the witnesses only makes the search fast.  Each scan and each rank
+    builds its own basis and layout and drops them when it returns, so the
+    ring keeps nothing of the search but its ranks.  A rank refused by a
+    cap ends the search in a linear scan from the last degree known to be
+    zero, so only a rank the answer needs can raise.
     """
     if not fedder_is_fsplit(ring, e):
         raise ValidationError(f"not F-split at level e={e}")
     q = ring.field.p ** e
     scan_cap = (q - 1) * max(ring.fano_coindex, 1)
     ring._term_masks(e)  # a refused mask table raises before any scan
-    kept = None  # the largest witness-free probe, whose basis is kept
-
-    def witness(m: int) -> bool:
-        nonlocal kept
-        if _has_zero_column(ring, e, m):
-            ring._basis_cache.pop(m, None)
-            return True
-        ring._basis_cache.pop(kept, None)
-        kept = m
-        return False
-
     zero = 0  # the last degree known to be zero: I_e(0) = 0 by Fedder
 
     def nonzero(m: int) -> bool:
@@ -814,7 +781,7 @@ def m_threshold(ring: GradedHypersurface, e: int,
         zero = m  # the searches rank zeros in increasing order
         return False
 
-    w = _first(witness, scan_cap + 1)
+    w = _first(lambda m: _has_zero_column(ring, e, m), scan_cap + 1)
     try:
         if w > 1 and nonzero(w - 1):
             return _first(lambda m: m >= w - 1 or nonzero(m),
@@ -854,8 +821,12 @@ def profile(ring: GradedHypersurface, e: int,
             threads: int = 1) -> SplittingProfile:
     """Assemble the full level-e profile with its self-checks.
 
-    The degrees 0..M_e are ranked in order on the calling thread (BLAS may
-    use its own threads); threads is accepted and has no effect."""
+    Every unranked degree passes _check_caps before any rank, so a refusal
+    leaves the ring as it was; the checked layouts then wait on
+    ring._layout_cache until each rank takes its own off, so none is laid
+    out twice and none is evicted by hand.  The degrees
+    0..M_e are ranked in order on the calling thread (BLAS may use its own
+    threads); threads is accepted and has no effect."""
     if ring.fano_coindex <= 0:
         raise ValidationError(
             f"non-Fano: profile needs v > delta (v-delta = "
@@ -871,16 +842,9 @@ def profile(ring: GradedHypersurface, e: int,
     if tail_rows != 0:
         raise InternalCheckError(
             f"tail not zero: {tail_rows} reduced targets at m={M + 1}")
-    try:
-        for m in range(M + 1):  # fail fast before any heavy work
-            if (e, m) not in ring._b_cache:  # a cached rank needs no check
-                _check_caps(ring, e, m, work_cap)
-    except InstanceTooLarge:
-        # no rank runs, so none drops the layouts and bases checked so far
-        for m in range(M + 1):
-            ring._layout_cache.pop((e, m), None)
-            ring._basis_cache.pop(m, None)
-        raise
+    ring._layout_cache.update({(e, m): _check_caps(ring, e, m, work_cap)
+                               for m in range(M + 1)
+                               if (e, m) not in ring._b_cache})
     b = [b_dimension(ring, e, m, work_cap=work_cap) for m in range(M + 1)]
     dims = [ring.dim_R(m) for m in range(M + 1)]
     # scan monotonicity: I_e(m) != 0 implies I_e(m+1) != 0

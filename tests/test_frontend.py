@@ -285,6 +285,15 @@ class TestExitCodes:
         assert self.run(["split", "--p", "5", "--poly", "x^2+y^2",
                          "--e", "0..2"]) == 1
 
+    def test_fano_levels_start_at_one(self, capsys):
+        # fano reports every level from 1 to b, so a range starting past 1
+        # is refused before any work; 1..b means the same as b
+        assert self.run(["fano", "--p", "5", "--poly", CUBIC,
+                         "--e", "2..3"]) == 1
+        assert "every level from 1 to b" in capsys.readouterr().err
+        assert _report(["fano", "--p", "5", "--poly", CUBIC, "--e", "1..2"]) \
+            == _report(["fano", "--p", "5", "--poly", CUBIC, "--e", "2"])
+
     @pytest.mark.parametrize("command", ["split", "fano"])
     def test_duality_check_cannot_be_switched_off(self, command):
         assert self.run([command, "--p", "5", "--poly", CUBIC,

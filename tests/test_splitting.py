@@ -134,14 +134,16 @@ class TestBDimension:
     def test_failed_batch_check_falls_back(self, monkeypatch):
         # a narrow sketch whose kernel check is refused comes back to the
         # batched engine as a larger sketch at attempt 1; only the first
-        # block of each symmetry orbit is sketched
+        # block of each symmetry orbit is sketched.  At degree 28 the first
+        # block has 455 built rows and 117 nonzero columns, more rows than
+        # its attempt-1 sketch (426), so the retry is sketched again
         ring = diagonal_hypersurface(3, 4, 2)
         calls = self.spy_engines(monkeypatch)
         attempts = self.spy_attempts(monkeypatch)
         self.refuse_checks(monkeypatch, 1)
-        ranked = sum(w > 0 for w in splitting._layout(ring, 3, 30).weights)
+        ranked = sum(w > 0 for w in splitting._layout(ring, 3, 28).weights)
         assert ranked == 3
-        assert b_dimension(ring, 3, 30) == 23 ** 2
+        assert b_dimension(ring, 3, 28) == 25 ** 2
         assert attempts == [0] * ranked + [1]
         refused = calls.index("_kernel_verifies")
         assert "kernel_fp_batched" in calls[refused:]
@@ -163,8 +165,14 @@ class TestBDimension:
 
     @pytest.mark.parametrize("batch_cols", [128, 0])
     def test_refused_checks_raise(self, batch_cols, monkeypatch):
+        # a retry whose built rows fit its sketch is eliminated exactly,
+        # and no block of this Phi is that tall at the true sketch sizes:
+        # sketches of ncols + 64 + attempt rows keep all four attempts at
+        # degree 30 (built blocks of 364, 286 and 220 rows) sketched
         ring = diagonal_hypersurface(3, 4, 2)
         monkeypatch.setattr(splitting, "_BATCH_COLS", batch_cols)
+        monkeypatch.setattr(splitting, "_sketch_rows",
+                            lambda ncols, attempt: ncols + 64 + attempt)
         calls = self.spy_engines(monkeypatch)
         attempts = self.spy_attempts(monkeypatch)
         self.refuse_checks(monkeypatch, 10 ** 9)
@@ -283,17 +291,25 @@ class TestBDimension:
         G = PolynomialFp(F, 4, {(2, 0, 0, 0): 1, (0, 1, 1, 0): 1,
                                 (0, 0, 0, 2): 1})
         ring = GradedHypersurface(F, ("x0", "x1", "x2", "x3"), G)
-        degrees = []
+        degrees, laid_out = [], []
         basis = GradedHypersurface.restricted_basis
+        layout = splitting._layout
 
         def counted(self, m):
             degrees.append(m)
             return basis(self, m)
+
+        def counted_layout(ring, e, m):
+            laid_out.append(m)
+            return layout(ring, e, m)
         monkeypatch.setattr(GradedHypersurface, "restricted_basis", counted)
+        monkeypatch.setattr(splitting, "_layout", counted_layout)
         pr = profile(ring, 2)
+        # the rank takes the layout the pre-check laid out
         assert sorted(degrees) == list(range(pr.M_e + 1))
-        # each layout and basis is dropped with its rank
-        assert not ring._layout_cache and not ring._basis_cache
+        assert sorted(laid_out) == list(range(pr.M_e + 1))
+        # each layout is dropped with its rank
+        assert not ring._layout_cache
 
     def test_row_keys_past_int64_refused(self, monkeypatch):
         # a row key sums u_i q^i over the v exponents of a target, so it
@@ -497,11 +513,10 @@ class TestSymmetryOrbits:
 
 
 class TestThresholds:
-    def test_probe_builds_basis_once(self, monkeypatch):
+    def test_probe_lays_out_only_the_rank(self, monkeypatch):
         # the witness scans at 1, 2, 4, 8, 16, 12, 10 and 9 find the first
-        # zero column at w = 9; only w - 1 = 8 is ranked, on the basis its
-        # scan kept, and no scan enumerates the target monomials of a
-        # layout
+        # zero column at w = 9; only w - 1 = 8 is ranked, on a basis of its
+        # own, and no scan enumerates the target monomials of a layout
         ring = diagonal_hypersurface(3, 4, 2)
         built, laid_out = [], []
         basis = GradedHypersurface.restricted_basis
@@ -518,17 +533,9 @@ class TestThresholds:
                             counted_basis)
         monkeypatch.setattr(splitting, "_layout", counted_layout)
         assert m_threshold(ring, 2) == 8
-        ranked = {m for e, m in ring._b_cache}
-        assert len(built) == len(set(built)) == 8
-        assert ranked == {8} and set(laid_out) == ranked
-
-    def test_threshold_drops_every_basis(self):
-        # the scans at 16, 12, 10 and 9 find a zero column and drop their
-        # bases; those of 1, 2 and 4 are dropped when a larger probe without
-        # a zero column replaces them, and the rank at 8 drops the one kept
-        ring = diagonal_hypersurface(3, 4, 2)
-        assert m_threshold(ring, 2) == 8
-        assert not ring._basis_cache and not ring._layout_cache
+        assert {m for e, m in ring._b_cache} == {8}
+        assert built == [1, 2, 4, 8, 16, 12, 10, 9, 8]
+        assert laid_out == [8]
 
     def test_refused_degree_keeps_no_cache(self):
         # m_threshold: the first zero column is at 25, the rank at 24 and
@@ -540,7 +547,7 @@ class TestThresholds:
             with pytest.raises(InstanceTooLarge,
                                match="at m=14: .* work cap"):
                 run(ring, 2, work_cap=1e6)
-            assert not ring._layout_cache and not ring._basis_cache
+            assert not ring._layout_cache
 
     @pytest.mark.parametrize("ring,e", [
         # the quadrics and cubics of criteria 2, 3 and 6 but Q_3 at p = 5,
@@ -594,6 +601,20 @@ class TestThresholds:
         assert m_threshold(diagonal_hypersurface(7, 4, 3), 1) \
             == FROZEN["cubic_p7_e1_m"]
 
+    def test_retried_sketch_taller_than_its_block(self):
+        # Phi_{3,13} of this F-split cubic over F_3 is one block of 560
+        # nonzero rows and 274 columns: its first sketch (338 rows) fails
+        # its check, and the retry's 740 rows outnumber the block's, which
+        # is then eliminated exactly
+        F = PrimeField(3)
+        G = PolynomialFp(F, 4, {(2, 0, 1, 0): 1, (2, 1, 0, 0): 1,
+                                (1, 1, 0, 1): 1, (0, 1, 1, 1): 2,
+                                (1, 0, 1, 1): 1})
+        names = ("x0", "x1", "x2", "x3")
+        assert b_dimension(GradedHypersurface(F, names, G), 3, 13) == 274
+        assert m_threshold(GradedHypersurface(F, names, G), 3) \
+            == profile(GradedHypersurface(F, names, G), 3).m_e == 13
+
     def test_exponents_past_int16(self):
         # G^(p-1) = (x0 x1)^40008 has exponents past 2^15; x0 is a zero
         # column at degree 1, so no rank is computed
@@ -631,7 +652,7 @@ class TestProfile:
         ring = diagonal_hypersurface(3, 4, 2)
         m_threshold(ring, 1)
         profile(ring, 1)
-        assert not ring._layout_cache and not ring._basis_cache
+        assert not ring._layout_cache
 
     def test_chained_monotonicity_flag(self, cubic_p5):
         pr1 = profile(cubic_p5, 1)
