@@ -455,7 +455,9 @@ class _Block(NamedTuple):
 def _build_block(ring: GradedHypersurface, e: int, U: np.ndarray) -> _Block:
     """The block of Phi_{e,m} on the columns U (n x v): column j holds the
     coefficient of w in G^(q-1) at the row of U[j] + w, for every w with
-    U[j] + w <= q - 1."""
+    U[j] + w <= q - 1.  The column index jj of the entries arrives sorted,
+    since the chunks come in order and np.nonzero is row-major, so the
+    columns are numbered by runs; the row keys need np.unique's sort."""
     q = ring.field.p ** e
     W, cw = ring._gq_arrays(e)
     jj, tt = [], []
@@ -471,10 +473,11 @@ def _build_block(ring: GradedHypersurface, e: int, U: np.ndarray) -> _Block:
     kw = _key_weights(q, ring.v)
     keys = (U @ kw)[jj] + (W @ kw)[tt]
     row_keys, rows = np.unique(keys, return_inverse=True)
-    col_ids, cols = np.unique(jj, return_inverse=True)
-    return _Block((row_keys.size, col_ids.size),
+    new = np.diff(jj, prepend=-1) != 0
+    ncols = int(np.count_nonzero(new))
+    return _Block((row_keys.size, ncols),
                   rows.reshape(-1).astype(np.min_scalar_type(row_keys.size)),
-                  cols.reshape(-1).astype(np.min_scalar_type(col_ids.size)),
+                  (np.cumsum(new) - 1).astype(np.min_scalar_type(ncols)),
                   cw[tt], row_keys)
 
 

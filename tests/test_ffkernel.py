@@ -386,6 +386,36 @@ class TestRankEngine:
             assert r == expect
             assert not ((A.astype(object) @ K.astype(np.int64)) % p).any()
 
+    def test_float32_boundary_prime(self):
+        # the largest prime whose residue plus _BASE products of residues
+        # fits float32's exact range, and the next prime
+        assert ffkernel._dtype_for(719)[0] is np.float32
+        assert ffkernel._dtype_for(727)[0] is np.float64
+
+    @pytest.mark.parametrize("p", [719, 727])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_delayed_reduction_at_the_boundary_primes(self, p, seed):
+        # factor entries mostly p - 1 drive the unreduced sums of the base
+        # cases towards their bound; the shapes take several panels and
+        # recursive triangular solves
+        npr = np.random.RandomState(seed)
+        for _ in range(3):
+            rows, cols = npr.randint(30, 141), npr.randint(30, 101)
+            t = npr.randint(1, min(rows, cols) + 1)
+            L = npr.randint(0, p, (rows, t))
+            R = npr.randint(0, p, (t, cols))
+            L[npr.rand(rows, t) < 0.7] = p - 1
+            R[npr.rand(t, cols) < 0.7] = p - 1
+            A = (L @ R) % p
+            expect = _naive_rank(A.copy(), p)
+            assert rank_fp_dense(A.astype(np.float64), p) == expect
+            r, K = kernel_fp_dense(A.astype(np.float64), p)
+            assert r == expect
+            assert K.shape == (cols, cols - expect)
+            Ki = K.astype(np.int64)
+            assert ((Ki >= 0) & (Ki < p)).all()
+            assert not ((A @ Ki) % p).any()
+
     @pytest.mark.parametrize("p", [16777259, 100000007, 2 ** 31 - 1])
     def test_prime_past_the_exact_range_refused(self, monkeypatch, p):
         def unreached(*args):

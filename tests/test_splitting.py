@@ -398,6 +398,44 @@ class TestBDimension:
             b_dimension(cubic_p5, 1, -1)
 
 
+class TestBuildBlock:
+    def test_dead_columns_give_an_empty_block(self, quadric_p3):
+        # every column has an exponent >= q, so no product survives
+        U = np.array([[3, 0, 0, 0], [0, 1, 4, 0]], dtype=np.uint8)
+        blk = splitting._build_block(quadric_p3, 1, U)
+        assert blk.shape == (0, 0)
+        for a in (blk.rows, blk.cols, blk.vals, blk.row_keys):
+            assert a.size == 0
+        # a live column between dead ones is numbered 0
+        live = np.array([[1, 1, 0, 0]], dtype=np.uint8)
+        blk = splitting._build_block(quadric_p3, 1, np.insert(U, 1, live, 0))
+        assert blk.shape[1] == 1 and blk.rows.size > 0
+        assert not blk.cols.any()
+
+    def test_matches_unique_numbering(self):
+        # the first ranked block of the p=5 quadric threefold at e=2, m=24
+        ring = diagonal_hypersurface(5, 5, 2)
+        q = 25
+        layout = splitting._layout(ring, 2, 24)
+        k = next(i for i, w in enumerate(layout.weights) if w)
+        U = layout.basis[layout.columns[k]]
+        blk = splitting._build_block(ring, 2, U)
+        # every product u + w with no exponent past q - 1, column by column
+        W, cw = ring._gq_arrays(2)
+        U, W = U.astype(np.int64), W.astype(np.int64)
+        jj, tt = np.nonzero((U[:, None, :] + W <= q - 1).all(axis=2))
+        row_keys, rows = np.unique((U[jj] + W[tt]) @ q ** np.arange(ring.v),
+                                   return_inverse=True)
+        col_ids, cols = np.unique(jj, return_inverse=True)
+        assert blk.shape == (row_keys.size, col_ids.size) == (13650, 455)
+        assert blk.rows.dtype == np.min_scalar_type(row_keys.size)
+        assert blk.cols.dtype == np.min_scalar_type(col_ids.size)
+        assert np.array_equal(blk.rows, rows.reshape(-1))
+        assert np.array_equal(blk.cols, cols.reshape(-1))
+        assert np.array_equal(blk.vals, cw[tt])
+        assert np.array_equal(blk.row_keys, row_keys)
+
+
 class TestSymmetryOrbits:
     """Only the first block of each orbit of the symmetries of G is ranked;
     the sum over the blocks must equal the unreduced one at every degree."""
