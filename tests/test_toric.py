@@ -5,11 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import frobw.toric as toric
 from frobw.acceptance import named_fans, random_fan_corpus
-from frobw.errors import InstanceTooLarge, ValidationError
+from frobw.errors import ValidationError
 from frobw.frozen_values import FROZEN
+from frobw.oracle import naive_toric_alpha
 from frobw.toric import (
     FanData,
     anticanonical_volume,
@@ -18,7 +21,7 @@ from frobw.toric import (
 )
 
 
-def point_by_point_scan(fan, P, r, point_cap):
+def point_by_point_scan(fan, P, r):
     """The scan of rP one lattice point at a time, in lexicographic order:
     the first u of least r/max_i c_i and the first ray attaining the max."""
     lo = [min(math.ceil(r * u[j]) for u in P.vertices) for j in range(fan.d)]
@@ -148,21 +151,20 @@ class TestToricAlpha:
 
     def test_witness_recorded(self, fans):
         rep = toric_alpha(fans["P2"])
-        assert rep.witness_is_vertex
         assert rep.witness_u == (-1, -1)  # lex-smallest minimizer
         assert rep.witness_ray == 2
 
     @pytest.mark.parametrize("name,report", [
-        ("P1", (1, "1/2", (-1,), 1, True, "2", "1/2")),
-        ("P2", (1, "1/3", (-1, -1), 2, True, "9", "3/8")),
-        ("P1xP1", (1, "1/2", (-1, -1), 1, True, "8", "1/3")),
-        ("P112", (1, "1/4", (-1, -1), 2, True, "8", "1/3")),
-        ("P3", (2, "1/4", (-2, -2, -2), 3, True, "64", "1/3")),
-        ("P1xP1xP1", (2, "1/2", (-2, -2, -2), 1, True, "48", "1/4")),
-        ("P1xP2", (2, "1/3", (-2, -2, -2), 4, True, "54", "9/32")),
+        ("P1", (1, "1/2", (-1,), 1, "2", "1/2")),
+        ("P2", (1, "1/3", (-1, -1), 2, "9", "3/8")),
+        ("P1xP1", (1, "1/2", (-1, -1), 1, "8", "1/3")),
+        ("P112", (1, "1/4", (-1, -1), 2, "8", "1/3")),
+        ("P3", (2, "1/4", (-2, -2, -2), 3, "64", "1/3")),
+        ("P1xP1xP1", (2, "1/2", (-2, -2, -2), 1, "48", "1/4")),
+        ("P1xP2", (2, "1/3", (-2, -2, -2), 4, "54", "9/32")),
     ])
     def test_polytope_solved_once(self, fans, name, report, monkeypatch):
-        # the volume reuses the polytope of the alpha scan
+        # the volume reuses the polytope whose vertices give alpha
         solved = []
 
         def counted(fan):
@@ -171,63 +173,38 @@ class TestToricAlpha:
         monkeypatch.setattr(toric, "polar_and_dilate", counted)
         rep = toric_alpha(fans[name])
         assert len(solved) == 1
-        r, alpha, u, ray, vertex, volume, bound = report
+        r, alpha, u, ray, volume, bound = report
         assert rep == toric.ToricAlphaReport(
-            r, Fraction(alpha), u, ray, vertex, Fraction(volume),
-            Fraction(bound))
+            r, Fraction(alpha), u, ray, Fraction(volume), Fraction(bound))
 
-    def test_point_cap(self, fans):
-        with pytest.raises(ValidationError, match="too large"):
-            toric_alpha(fans["P3"], point_cap=10)
-
-    def test_chunked_scan_matches_point_by_point(self, fans, monkeypatch):
-        # a chunk of 7 points puts witness ties on both sides of chunk
-        # boundaries, so the first maximum must be kept across chunks
-        corpus = list(fans.values()) + random_fan_corpus(count=10)
-
-        def run(scan):
-            scans = {}  # (fan index, r) -> (alpha, witness u, witness ray)
-
-            def recorded(fan, P, r, point_cap):
-                scans[corpus.index(fan), r] = scan(fan, P, r, point_cap)
-                return scans[corpus.index(fan), r]
-
-            with monkeypatch.context() as mp:
-                mp.setattr(toric, "_alpha_at_dilation", recorded)
-                reports = [toric_alpha(fan) for fan in corpus]
-            return reports, scans
-
-        want, want_scans = run(point_by_point_scan)
-        monkeypatch.setattr(toric, "_SCAN_CHUNK", 7)
-        got, got_scans = run(toric._alpha_at_dilation)
-        assert got == want
-        assert got_scans == want_scans
-        assert len(got_scans) == 2 * len(corpus)  # r and 2r of every fan
-        assert all(type(a) is int for rep in got for a in rep.witness_u)
-
-    @staticmethod
-    def forbid_scan(monkeypatch):
-        # a scan that starts fails at once instead of running for hours
-        def decode(*args):
-            raise AssertionError("the box scan started")
-        monkeypatch.setattr(toric.np, "divmod", decode)
-
-    def test_int64_range_refused_before_the_scan(self, fans, monkeypatch):
-        # P2 sheared by [[1, N], [0, 1]]: the box of P has coordinates near
-        # 2N and a ray has entry -1-N, so <u, v_i> can pass 2^63
+    def test_large_coordinates_are_exact(self, fans):
+        # P2 sheared by [[1, N], [0, 1]]: a ray has entry -1-N and the
+        # bounding box of P holds about 12N lattice points, but P still has
+        # only three vertices
         N = 2 ** 31
         rays = [(a + N * b, b) for a, b in fans["P2"].rays]
-        fan = FanData(2, rays, fans["P2"].cones)
-        self.forbid_scan(monkeypatch)
-        with pytest.raises(InstanceTooLarge, match="range of int64"):
-            toric_alpha(fan, point_cap=10 ** 12)
+        rep = toric_alpha(FanData(2, rays, fans["P2"].cones))
+        assert rep.alpha == Fraction(1, 3)
+        assert rep.volume == 9
+        assert rep.witness_u == (-1, 2 ** 31 - 1)
+        assert all(type(a) is int for a in rep.witness_u)
 
-    def test_box_count_past_int64_refused(self, fans, monkeypatch):
-        # the box of 2^20 P3 has about 2^66 points, small coordinates
-        P, _ = polar_and_dilate(fans["P3"])
-        self.forbid_scan(monkeypatch)
-        with pytest.raises(InstanceTooLarge, match="range of int64"):
-            toric._alpha_at_dilation(fans["P3"], P, 2 ** 20, 2 ** 70)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_vertices_match_the_box_scans(self, seed):
+        # the box scans are the references: the oracle's value, and the
+        # lex-first witness of the point-by-point scan of rP
+        fan = random_fan_corpus(count=1, seed=seed)[0]
+        try:
+            naive = naive_toric_alpha(fan)
+        except ValidationError:  # a box past the oracle's cap
+            assume(False)
+        rep = toric_alpha(fan)
+        assert rep.alpha == naive
+        P, r = polar_and_dilate(fan)
+        assert rep.r == r
+        assert (rep.alpha, rep.witness_u, rep.witness_ray) \
+            == point_by_point_scan(fan, P, r)
 
 
 class TestVolume:
@@ -267,5 +244,5 @@ class TestEquivariance:
 
     def test_corpus_respects_invariants(self):
         for fan in random_fan_corpus(count=10, seed=5):
-            rep = toric_alpha(fan)  # self-checks dilation stability
+            rep = toric_alpha(fan)
             assert rep.alpha <= Fraction(1, 2)
