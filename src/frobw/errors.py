@@ -21,6 +21,6 @@ class InstanceTooLarge(ValidationError):
 
 class InternalCheckError(FrobwError):
     """A self-check failed: a basis or block count that disagrees with its
-    formula, a sketch that fails certification, a threshold scan past its
-    cap, or a toric alpha above 1/2.  Always indicates a bug; the message
-    carries the falsifying datum (exit code 4)."""
+    formula, a threshold scan past its cap, or a toric alpha above 1/2.
+    Always indicates a bug; the message carries the falsifying datum (exit
+    code 4)."""

@@ -37,13 +37,14 @@ b(m) = b(M_e - m) is never used.
 
 One loop certifies every ranked block (_certify).  A block at most twice as
 tall as wide that fits DENSE_CELLS is eliminated exactly.  A taller or
-larger block is compressed by a seeded row hash into a sketch with 64 spare
-rows, unless the built block, without its zero rows, is no taller than that
-sketch.  Sketch rank = column count is a proof of full column rank;
-otherwise the sketch's kernel basis is verified against the true block,
-built from its nonzero entries in dense row chunks, which certifies the
-exact rank.  A sketch failing its check comes back to the loop as a larger
-sketch, so every returned value is certified.
+larger block is compressed by a seeded row hash into a sketch with _SPARE
+rows more than columns, unless the built block, without its zero rows, is
+no taller than that sketch.  Sketch rank = column count is a proof of full
+column rank; otherwise the sketch's kernel basis is verified against the
+true block, built from its nonzero entries in dense row chunks, which
+certifies the exact rank.  A block whose sketch fails its check is
+eliminated exactly, or refused (InstanceTooLarge) when it passes
+DENSE_CELLS, so every returned value is certified.
 A block's width alone picks its engine: blocks with at most 128 nonzero
 columns are eliminated together, one vectorized step per column
 (kernel_fp_batched); wider blocks go one at a time through the BLAS-blocked
@@ -93,8 +94,8 @@ _BATCH_COLS = 128
 #: stack cells plus held nonzeros at which a batch is ranked and released
 _BATCH_CELLS = 1 << 20
 
-#: sketch sizes tried per block before certification gives up
-_ATTEMPTS = 4
+#: rows of a sketch beyond its column count
+_SPARE = 64
 
 #: the symmetries of G are searched among the v! permutations up to this v
 _SYMMETRY_VARS = 7
@@ -483,8 +484,8 @@ def _build_block(ring: GradedHypersurface, e: int, U: np.ndarray) -> _Block:
 
 def _sketched(rows: int, cols: int) -> bool:
     """Whether a block of this shape takes the sketch path: too many cells
-    to materialize, or so tall that a (cols + 64)-row sketch is far cheaper
-    than eliminating it."""
+    to materialize, or so tall that a (cols + _SPARE)-row sketch is far
+    cheaper than eliminating it."""
     return rows * cols > DENSE_CELLS or rows > _TALL * cols
 
 
@@ -492,8 +493,7 @@ def _estimate_flops(rows: int, cols: int) -> float:
     """Cubic elimination work estimate for the path a block takes."""
     if not _sketched(rows, cols):
         return min(rows, cols) * rows * cols / 3.0
-    r = cols + 64
-    return float(cols) * cols * r / 3.0
+    return float(cols) * cols * (cols + _SPARE) / 3.0
 
 
 def _check_caps(ring: GradedHypersurface, e: int, m: int,
@@ -541,57 +541,53 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
     key = (e, m)
     if key in ring._b_cache:
         return ring._b_cache[key]
-    layout = _check_caps(ring, e, m, work_cap)
-    b = _certify(ring, e, m, layout,
-                 [(k, 0 if _sketched(*layout.shapes[k]) else None)
-                  for k, w in enumerate(layout.weights) if w])
+    b = _certify(ring, e, m, _check_caps(ring, e, m, work_cap))
     ring._b_cache[key] = b
     return b
 
 
-def _certify(ring: GradedHypersurface, e: int, m: int, layout: _Layout,
-             jobs: list[tuple[int, int | None]]) -> int:
-    """Sum of the certified ranks of the blocks of Phi_{e,m} that jobs name,
-    each counted its layout weight times.
+def _certify(ring: GradedHypersurface, e: int, m: int,
+             layout: _Layout) -> int:
+    """Sum of the certified ranks of the ranked blocks of Phi_{e,m}, each
+    counted its layout weight times.
 
-    A job is a block of the layout with its sketch attempt, or None for a
-    block eliminated exactly; a block with no more nonzero rows than its
-    sketch at that attempt is eliminated exactly.  The block's nonzero
-    columns pick the engine: at most _BATCH_COLS go to kernel_fp_batched,
-    flushed at _BATCH_CELLS stack cells plus held nonzeros; wider blocks go
-    one at a time to rank_fp_dense (exact) or kernel_fp_dense (sketch).  A
-    full-rank sketch is a proof, and so is a sketch kernel that kills the
-    true block; a sketch failing its check comes back at attempt + 1.
+    A block is sketched when its counted shape is _sketched and its built
+    block has more than ncols + _SPARE nonzero rows; otherwise it is
+    eliminated exactly.  The block's nonzero columns pick the engine: at
+    most _BATCH_COLS go to kernel_fp_batched, flushed at _BATCH_CELLS stack
+    cells plus held nonzeros; wider blocks go one at a time to rank_fp_dense
+    (exact) or kernel_fp_dense (sketch).  A full-rank sketch is a proof, and
+    so is a sketch kernel that kills the true block; a block whose sketch
+    fails its check is eliminated exactly by rank_fp_dense, or refused
+    (InstanceTooLarge) when it passes DENSE_CELLS.
     """
     p = ring.field.p
-    retries, queue, cells = [], [], 0
+    queue, cells = [], 0
 
-    def settle(k, attempt, rank, K, true) -> int:
-        """The certified rank, or 0 with the block queued for a retry;
-        true holds the entries of the block the sketch compresses."""
-        if (attempt is None or rank == K.shape[0]
-                or _kernel_verifies(true, K, p)):
-            return layout.weights[k] * rank
-        if (attempt + 1 == _ATTEMPTS
-                or _sketch_rows(K.shape[0], attempt + 1) > MAX_MATRIX_SIDE):
-            raise InternalCheckError(
-                f"sketch certification failed for e={e}, m={m} after "
-                f"enlarging the sketch; falsifying sketch size "
-                f"{_sketch_rows(K.shape[0], attempt)}")
-        retries.append((k, attempt + 1))
-        return 0
+    def settle(w, rank, K, true) -> int:
+        """w times the certified rank; true holds the entries of the block
+        that a sketch compresses, None for a block eliminated exactly."""
+        if true is None or rank == K.shape[0] or _kernel_verifies(true, K, p):
+            return w * rank
+        nrows, ncols = true.shape
+        if nrows * ncols > DENSE_CELLS:
+            raise InstanceTooLarge(
+                f"instance too large at m={m}: the sketch of a {nrows} x "
+                f"{ncols} block failed its kernel check, and eliminating the "
+                f"block exactly passes the dense cap of {DENSE_CELLS} cells")
+        return w * rank_fp_dense(_dense(true, tall=False), p)
 
     def flush() -> int:
         if not queue:  # the batched engine refuses large primes up front
             return 0
-        ranks = kernel_fp_batched([A for _, _, A, _ in queue], p)
-        return sum(settle(k, attempt, *rK, true)
-                   for (k, attempt, _, true), rK in zip(queue, ranks))
+        ranks = kernel_fp_batched([A for _, A, _ in queue], p)
+        return sum(settle(w, *rK, true)
+                   for (w, _, true), rK in zip(queue, ranks))
 
     total = 0
-    for k, attempt in jobs:
-        (rows, cols), idx = layout.shapes[k], layout.columns[k]
-        if rows == 0 or cols == 0:
+    for (rows, cols), idx, w in zip(layout.shapes, layout.columns,
+                                    layout.weights):
+        if not w or rows == 0 or cols == 0:
             continue
         blk = _build_block(ring, e, layout.basis[idx])
         nrows, ncols = blk.shape
@@ -601,33 +597,30 @@ def _certify(ring: GradedHypersurface, e: int, m: int, layout: _Layout,
                 f"{idx.size}, counted {rows} x {cols}")
         if nrows == 0:
             continue
-        # the row bound that chose the sketch counts every target of the
-        # class, not only the built rows
-        if attempt is not None and nrows <= _sketch_rows(ncols, attempt):
-            attempt = None
+        # the counted row bound holds every target of the class; only the
+        # built rows tell whether the sketch is shorter than the block
+        sketch = _sketched(rows, cols) and nrows > ncols + _SPARE
         # a wide block's matrix lives only as long as its engine call
         if ncols > _BATCH_COLS:
-            if attempt is None:
-                total += layout.weights[k] * rank_fp_dense(
-                    _dense(blk, tall=False), p)
+            if sketch:
+                total += settle(w, *kernel_fp_dense(
+                    _sketch(ring, e, m, blk), p), blk)
             else:
-                total += settle(k, attempt, *kernel_fp_dense(
-                    _sketch(ring, e, m, blk, attempt), p), blk)
+                total += w * rank_fp_dense(_dense(blk, tall=False), p)
             continue
-        if attempt is None:
-            A = _dense(blk, tall=True)
-            queue.append((k, None, A, None))
-        else:
-            A = _sketch(ring, e, m, blk, attempt)
+        if sketch:
+            A = _sketch(ring, e, m, blk)
             # the check needs the entries, not the row keys
-            queue.append((k, attempt, A, blk._replace(row_keys=None)))
+            queue.append((w, A, blk._replace(row_keys=None)))
             cells += blk.vals.size
+        else:
+            A = _dense(blk, tall=True)
+            queue.append((w, A, None))
         cells += A.size
         if cells > _BATCH_CELLS:
             total += flush()
             queue, cells = [], 0
-    total += flush()
-    return total + _certify(ring, e, m, layout, retries) if retries else total
+    return total + flush()
 
 
 def _dense(blk: _Block, tall: bool) -> np.ndarray:
@@ -640,20 +633,15 @@ def _dense(blk: _Block, tall: bool) -> np.ndarray:
     return A.T if (nrows < ncols if tall else nrows > ncols) else A
 
 
-def _sketch_rows(ncols: int, attempt: int) -> int:
-    """Rows of the sketch at an attempt: ncols + 64, then 2r + 64."""
-    return (ncols + 128) * 2 ** attempt - 64
-
-
-def _sketch(ring: GradedHypersurface, e: int, m: int, blk: _Block,
-            attempt: int) -> np.ndarray:
-    """Row compression of a block of Phi_{e,m} at an attempt: every row is
-    hashed to one of _sketch_rows buckets with a nonzero key-dependent
-    coefficient.  Deterministic in (block, e, m, attempt)."""
+def _sketch(ring: GradedHypersurface, e: int, m: int,
+            blk: _Block) -> np.ndarray:
+    """Row compression of a block of Phi_{e,m}: every row is hashed to one
+    of ncols + _SPARE buckets with a nonzero key-dependent coefficient.
+    Deterministic in (block, e, m)."""
     p = ring.field.p
     ncols = blk.shape[1]
-    r = _sketch_rows(ncols, attempt)
-    sd = np.uint64(_sketch_seed(ring, e, m, attempt))
+    r = ncols + _SPARE
+    sd = np.uint64(_sketch_seed(ring, e, m))
     keys = blk.row_keys.astype(np.uint64)
     buckets = ((keys * _HASH_A + sd) >> np.uint64(32)).astype(np.int64) % r
     mix = ((keys * _HASH_B + sd) >> np.uint64(29)).astype(np.int64)
@@ -664,9 +652,10 @@ def _sketch(ring: GradedHypersurface, e: int, m: int, blk: _Block,
     return np.remainder(S, p, out=S).reshape(r, ncols)
 
 
-def _sketch_seed(ring: GradedHypersurface, e: int, m: int,
-                 attempt: int) -> int:
-    basis = (ring.field.p, ring.v, ring.delta, e, m, attempt)
+def _sketch_seed(ring: GradedHypersurface, e: int, m: int) -> int:
+    # the trailing 0 is part of the hashed tuple: dropping it would change
+    # every sketch
+    basis = (ring.field.p, ring.v, ring.delta, e, m, 0)
     h = 0xCBF29CE484222325
     for x in basis:
         h = ((h ^ x) * 0x100000001B3) % 2 ** 64

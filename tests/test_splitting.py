@@ -132,54 +132,89 @@ class TestBDimension:
                                       expect)
 
     def test_failed_batch_check_falls_back(self, monkeypatch):
-        # a narrow sketch whose kernel check is refused comes back to the
-        # batched engine as a larger sketch at attempt 1; only the first
-        # block of each symmetry orbit is sketched.  At degree 28 the first
-        # block has 455 built rows and 117 nonzero columns, more rows than
-        # its attempt-1 sketch (426), so the retry is sketched again
+        # a narrow sketch whose kernel check is refused is not sketched
+        # again: its true block (455 built rows, 117 nonzero columns at
+        # degree 28) is eliminated exactly; only the first block of each
+        # symmetry orbit is sketched
         ring = diagonal_hypersurface(3, 4, 2)
         calls = self.spy_engines(monkeypatch)
-        attempts = self.spy_attempts(monkeypatch)
+        sketched = self.spy_sketches(monkeypatch)
         self.refuse_checks(monkeypatch, 1)
         ranked = sum(w > 0 for w in splitting._layout(ring, 3, 28).weights)
         assert ranked == 3
         assert b_dimension(ring, 3, 28) == 25 ** 2
-        assert attempts == [0] * ranked + [1]
-        refused = calls.index("_kernel_verifies")
-        assert "kernel_fp_batched" in calls[refused:]
-        assert "kernel_fp_dense" not in calls
+        assert len(sketched) == ranked
+        # a refused check does not reach the engine spy
+        assert calls == ["kernel_fp_batched", "rank_fp_dense",
+                         "_kernel_verifies", "_kernel_verifies"]
 
     def test_failed_wide_check_retries(self, monkeypatch):
         # G's exponent differences span the degree-0 lattice, so Phi_{3,28}
         # is one block; with no batch it is sketched by kernel_fp_dense, and
-        # a refused check sketches it again at attempt 1
+        # a refused check retries it once, by exact elimination
         ring = ungraded_quadric()
         monkeypatch.setattr(splitting, "_BATCH_COLS", 0)
         calls = self.spy_engines(monkeypatch)
-        attempts = self.spy_attempts(monkeypatch)
+        sketched = self.spy_sketches(monkeypatch)
         self.refuse_checks(monkeypatch, 1)
         assert b_dimension(ring, 3, 28) == 25 ** 2
-        assert attempts == [0, 1]
-        assert calls.count("kernel_fp_dense") == 2
-        assert "kernel_fp_batched" not in calls
+        assert len(sketched) == 1
+        assert calls == ["kernel_fp_dense", "rank_fp_dense"]
+
+    @pytest.mark.parametrize("m,b", [(20, 441), (26, 729)])
+    def test_failed_first_sketches_go_exact(self, m, b, monkeypatch):
+        # unpatched failing sketches: the one block of the ungraded quadric
+        # at e=3 has full column rank at m=20 (row bound 6321, 441 columns)
+        # and at m=26 (3654 x 729), yet its sketch loses rank and the true
+        # check refuses the sketch's kernel
+        ring = ungraded_quadric()
+        calls = self.spy_engines(monkeypatch)
+        verify, verdicts = splitting._kernel_verifies, []
+
+        def recorded(*args):
+            verdicts.append(verify(*args))
+            return verdicts[-1]
+        monkeypatch.setattr(splitting, "_kernel_verifies", recorded)
+        assert b_dimension(ring, 3, m) == b == ring.dim_R(m)
+        assert calls == ["kernel_fp_dense", "_kernel_verifies",
+                         "rank_fp_dense"]
+        assert verdicts == [False]
 
     @pytest.mark.parametrize("batch_cols", [128, 0])
     def test_refused_checks_raise(self, batch_cols, monkeypatch):
-        # a retry whose built rows fit its sketch is eliminated exactly,
-        # and no block of this Phi is that tall at the true sketch sizes:
-        # sketches of ncols + 64 + attempt rows keep all four attempts at
-        # degree 30 (built blocks of 364, 286 and 220 rows) sketched
+        # the built blocks of Phi_{3,30} (364, 286 and 220 rows) are all
+        # sketched and rank deficient, so every one is checked; past a
+        # lowered DENSE_CELLS the first refused check raises before any
+        # dense matrix is built
         ring = diagonal_hypersurface(3, 4, 2)
         monkeypatch.setattr(splitting, "_BATCH_COLS", batch_cols)
-        monkeypatch.setattr(splitting, "_sketch_rows",
-                            lambda ncols, attempt: ncols + 64 + attempt)
+        monkeypatch.setattr(splitting, "DENSE_CELLS", 1000)
         calls = self.spy_engines(monkeypatch)
-        attempts = self.spy_attempts(monkeypatch)
+
+        def undensed(*args, **kwargs):
+            raise AssertionError("a refused block was made dense")
+        monkeypatch.setattr(splitting, "_dense", undensed)
         self.refuse_checks(monkeypatch, 10 ** 9)
-        with pytest.raises(InternalCheckError,
-                           match="sketch certification failed"):
+        with pytest.raises(InstanceTooLarge, match=r"at m=30: the sketch "
+                           r"of a \d+ x \d+ block failed its kernel check"):
             b_dimension(ring, 3, 30)
-        assert max(attempts) == splitting._ATTEMPTS - 1
+        assert "rank_fp_dense" not in calls
+        unused = "kernel_fp_dense" if batch_cols else "kernel_fp_batched"
+        assert unused not in calls
+
+    @pytest.mark.parametrize("batch_cols", [128, 0])
+    def test_refused_checks_are_eliminated_exactly(self, batch_cols,
+                                                    monkeypatch):
+        # under DENSE_CELLS every block of Phi_{3,30} whose check is
+        # refused is eliminated exactly, once, and the value stands
+        ring = diagonal_hypersurface(3, 4, 2)
+        monkeypatch.setattr(splitting, "_BATCH_COLS", batch_cols)
+        calls = self.spy_engines(monkeypatch)
+        sketched = self.spy_sketches(monkeypatch)
+        self.refuse_checks(monkeypatch, 10 ** 9)
+        assert b_dimension(ring, 3, 30) == 23 ** 2
+        assert len(sketched) == 3
+        assert calls.count("rank_fp_dense") == 3
         unused = "kernel_fp_dense" if batch_cols else "kernel_fp_batched"
         assert unused not in calls
 
@@ -188,12 +223,12 @@ class TestBDimension:
         # block: it is more than twice as tall as wide, and sketched, up to
         # degree 8 only
         ring = ungraded_quadric()
-        attempts = self.spy_attempts(monkeypatch)
+        sketches = self.spy_sketches(monkeypatch)
         sketched = []
         for m in range(17):
-            attempts.clear()
+            sketches.clear()
             assert b_dimension(ring, 2, m) == naive_b_dimension(ring, 2, m)
-            if attempts:
+            if sketches:
                 sketched.append(m)
         assert sketched == list(range(9))
 
@@ -222,15 +257,16 @@ class TestBDimension:
         assert "kernel_fp_dense" not in calls
 
     @staticmethod
-    def spy_attempts(monkeypatch) -> list[int]:
-        attempts = []
-        seed = splitting._sketch_seed
+    def spy_sketches(monkeypatch) -> list[tuple[int, int]]:
+        """Record the built shape of every block that is sketched."""
+        shapes = []
+        sketch = splitting._sketch
 
-        def counted(ring, e, m, attempt):
-            attempts.append(attempt)
-            return seed(ring, e, m, attempt)
-        monkeypatch.setattr(splitting, "_sketch_seed", counted)
-        return attempts
+        def counted(ring, e, m, blk):
+            shapes.append(blk.shape)
+            return sketch(ring, e, m, blk)
+        monkeypatch.setattr(splitting, "_sketch", counted)
+        return shapes
 
     @staticmethod
     def refuse_checks(monkeypatch, n: int) -> None:
@@ -639,11 +675,10 @@ class TestThresholds:
         assert m_threshold(diagonal_hypersurface(7, 4, 3), 1) \
             == FROZEN["cubic_p7_e1_m"]
 
-    def test_retried_sketch_taller_than_its_block(self):
+    def test_failed_sketch_of_tall_block_goes_exact(self):
         # Phi_{3,13} of this F-split cubic over F_3 is one block of 560
-        # nonzero rows and 274 columns: its first sketch (338 rows) fails
-        # its check, and the retry's 740 rows outnumber the block's, which
-        # is then eliminated exactly
+        # nonzero rows and 274 columns: its sketch (338 rows) fails its
+        # check, so the block is eliminated exactly
         F = PrimeField(3)
         G = PolynomialFp(F, 4, {(2, 0, 1, 0): 1, (2, 1, 0, 0): 1,
                                 (1, 1, 0, 1): 1, (0, 1, 1, 1): 2,
