@@ -82,12 +82,16 @@ def n_monomials_capped(v: int, m: int, cap: int) -> int:
     return total
 
 
-def exponent_array(v: int, m: int, cap: int | None = None) -> np.ndarray:
+def exponent_array(v: int, m: int, cap: int | None = None,
+                   last: range | None = None) -> np.ndarray:
     """All degree-m exponent vectors in v variables with every exponent <=
     cap, as an (n x v) int64 array in colex order: lexicographic order on
-    the reversed vectors (last exponent slowest, first exponent fastest)."""
+    the reversed vectors (last exponent slowest, first exponent fastest).
+    With last, only the vectors whose last exponent lies in that range: a
+    contiguous run of the full array."""
     cap = m if cap is None else min(cap, m)
-    if m < 0 or m > v * cap:
+    if m < 0 or m > v * cap or (v == 1 and last is not None
+                                and m not in last):
         return np.zeros((0, v), dtype=np.int64)
     # fix the exponents from the last variable down; every prefix is
     # extended by each value that leaves a degree x_0..x_{j-1} can take up
@@ -95,7 +99,11 @@ def exponent_array(v: int, m: int, cap: int | None = None) -> np.ndarray:
     rest = np.array([m], dtype=np.int64)
     for j in range(v - 1, 0, -1):
         lo = np.maximum(rest - j * cap, 0)
-        counts = np.minimum(rest, cap) - lo + 1
+        hi = np.minimum(rest, cap)
+        if last is not None and j == v - 1:
+            lo = np.maximum(lo, last.start)
+            hi = np.minimum(hi, last.stop - 1)
+        counts = np.maximum(hi - lo + 1, 0)
         out = np.repeat(out, counts, axis=0)
         starts = np.repeat(np.cumsum(counts) - counts - lo, counts)
         out[:, j] = np.arange(len(out), dtype=np.int64) - starts

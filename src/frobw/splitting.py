@@ -196,11 +196,12 @@ class GradedHypersurface:
     def restricted_basis(self, m: int) -> np.ndarray:
         """Degree-m monomials not divisible by the leading term of G, as an
         (n x v) array in graded-colex order, in the smallest unsigned dtype
-        that holds m.  These monomials descend to a basis of R_m."""
-        lt, _ = self.G.leading_term()
-        mons = exponent_array(self.v, m)
-        basis = mons[(mons < np.array(lt)).any(axis=1)].astype(
-            np.min_scalar_type(m))
+        that holds m.  These monomials descend to a basis of R_m.  The
+        monomials are enumerated and filtered in bounded chunks."""
+        lt = np.array(self.G.leading_term()[0])
+        basis = np.concatenate([
+            mons[(mons < lt).any(axis=1)].astype(np.min_scalar_type(m))
+            for mons in _exponent_chunks(self.v, m, m)])
         if basis.shape[0] != self.dim_R(m):
             raise InternalCheckError(
                 f"basis bookkeeping: {basis.shape[0]} restricted monomials at "
@@ -326,6 +327,59 @@ def _dense_ranks(codes: np.ndarray) -> tuple[int, np.ndarray]:
     return distinct.size, ranks.reshape(-1)
 
 
+# ---------------------------------------------------------------------------
+# the exponent vectors of one degree: counted, enumerated in chunks, ranked
+#
+# Colex order compares exponent vectors from the last exponent down.  Let
+# N_i(t) count the vectors of degree t in the first i variables with every
+# exponent <= cap, P_i(t) = N_i(0) + ... + N_i(t), and a_i = x_0 + ... +
+# x_{i-1} (so a_v = D).  The degree-D vectors before x in colex order that
+# agree with x past coordinate i and are smaller at i number P_i(a_{i+1}) -
+# P_i(a_i); the colex rank of x is their sum over i = 0..v-1 (the term of
+# i = 0 is 0), which regroups as P_{v-1}(D) - 1 + R_1(a_1) + ... +
+# R_{v-1}(a_{v-1}) with R_i = P_{i-1} - P_i.
+
+#: exponent vectors enumerated per chunk of a basis or of a layout's targets
+_ENUM_ROWS = 1 << 14
+
+
+@functools.lru_cache(maxsize=8)
+def _colex_tables(v: int, D: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """P and R for the degree-D vectors of v variables with every exponent
+    <= cap: P[i, t] = P_i(t) for 0 <= i < v, and R[i - 1, a] = R_i(a) for
+    1 <= i < v, with 0 <= t, a <= D.  Built once per degree; int64 holds
+    every count while q^v < 2^63, which _check_caps enforces.  Shared by
+    every caller, so read-only."""
+    P = np.empty((v, D + 1), dtype=np.int64)
+    N = np.zeros(D + 1, dtype=np.int64)
+    N[0] = 1
+    for i in range(v):
+        P[i] = np.cumsum(N)
+        # N_{i+1}(t) = P_i(t) - P_i(t - cap - 1)
+        N = P[i].copy()
+        N[cap + 1:] -= P[i, :D - cap]
+    R = P[:-1] - P[1:]
+    P.flags.writeable = R.flags.writeable = False
+    return P, R
+
+
+def _exponent_chunks(v: int, D: int, cap: int):
+    """The degree-D vectors of v variables with every exponent <= cap, in
+    colex order, as int64 chunks of runs of the last exponent: a chunk
+    starts at every run that begins past a multiple of _ENUM_ROWS vectors,
+    and the whole set is one chunk when it fits.  D >= 0."""
+    if n_monomials_capped(v, D, cap) <= _ENUM_ROWS:
+        yield exponent_array(v, D, cap)
+        return
+    P, _ = _colex_tables(v, D, cap)
+    k = np.arange(min(D, cap) + 1)
+    per_last = P[v - 1, D - k] - np.where(k < D, P[v - 1, D - k - 1], 0)
+    group = (np.cumsum(per_last) - per_last) // _ENUM_ROWS
+    firsts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+    for lo, hi in zip(firsts, firsts[1:] + [k.size]):
+        yield exponent_array(v, D, cap, last=range(lo, hi))
+
+
 class _Layout(NamedTuple):
     """The columns of Phi_{e,m} and how they split into blocks: the
     restricted basis of degree m and, for each block, its (row bound,
@@ -333,7 +387,8 @@ class _Layout(NamedTuple):
     weight: the size of its symmetry orbit for the orbit's first block, 0
     for the others, whose equal rank that weight counts.  Counted from the
     monomials; Phi is not built.  The row bound counts every reduced target
-    monomial of the block's class."""
+    monomial of the block's class.  Blocks come in the lexicographic order
+    of the canonical representatives of their classes."""
 
     basis: np.ndarray
     shapes: list[tuple[int, int]]
@@ -343,16 +398,21 @@ class _Layout(NamedTuple):
 
 def _layout(ring: GradedHypersurface, e: int, m: int) -> _Layout:
     """The layout of Phi_{e,m}, built from a fresh restricted basis: the
-    basis and its class labels serve both the work estimate and the rank."""
+    basis and its class labels serve both the work estimate and the rank.
+    The target monomials are counted per class in chunks (_exponent_chunks):
+    the first chunk is labelled together with the basis, each later one
+    with one column of every class, since a target of a class with no
+    column meets no block."""
     q = ring.field.p ** e
+    D = m + ring.delta * (q - 1)
     basis = ring.restricted_basis(m)
     cols = basis.shape[0]
-    rows = n_monomials_capped(ring.v, m + ring.delta * (q - 1), q - 1)
+    rows = n_monomials_capped(ring.v, D, q - 1)
     if ring._lattice is None or rows == 0 or cols == 0:
         return _Layout(basis, [(rows, cols)], [np.arange(cols)], [1])
-    targets = (exponent_array(ring.v, m + ring.delta * (q - 1), q - 1)
-               - (q - 1) * ring._w0)
-    labels = _class_labels(ring, np.concatenate([basis, targets]))
+    shift = (q - 1) * ring._w0
+    chunks = _exponent_chunks(ring.v, D, q - 1)
+    labels = _class_labels(ring, np.concatenate([basis, next(chunks) - shift]))
     ncls = int(labels.max()) + 1
     col_labels = labels[:cols]
     per_col = np.bincount(col_labels, minlength=ncls)
@@ -360,10 +420,19 @@ def _layout(ring: GradedHypersurface, e: int, m: int) -> _Layout:
     order = np.argsort(col_labels, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(per_col)))
     live = np.flatnonzero(per_col)
-    shapes = [(int(per_row[c]), int(per_col[c])) for c in live]
+    firsts = basis[order[bounds[live]]]
+    per_row = per_row[live]
+    for targets in chunks:
+        targets -= shift
+        labels = _class_labels(ring, np.concatenate([firsts, targets]))
+        block = np.full(int(labels.max()) + 1, live.size)
+        block[labels[:live.size]] = np.arange(live.size)
+        per_row += np.bincount(block[labels[live.size:]],
+                               minlength=live.size + 1)[:live.size]
+    shapes = list(zip(per_row.tolist(), per_col[live].tolist()))
     return _Layout(basis, shapes,
                    [order[bounds[c]:bounds[c + 1]] for c in live],
-                   _orbit_weights(ring, basis[order[bounds[live]]], shapes))
+                   _orbit_weights(ring, firsts, shapes))
 
 
 def _orbit_weights(ring: GradedHypersurface, firsts: np.ndarray,
@@ -399,17 +468,26 @@ def _orbit_weights(ring: GradedHypersurface, firsts: np.ndarray,
 # matrix construction
 
 #: bitset cells (columns x 64-term words) scanned per chunk
-_SCAN_WORDS = 1 << 19
+_SCAN_WORDS = 1 << 16
+
+#: unpacked bitset cells (columns x terms) per chunk of a block's entries
+_ENTRY_CELLS = 1 << 15
+
+#: entries of a block that a sketch accumulates per chunk
+_SKETCH_ENTRIES = 1 << 16
 
 #: largest term-mask table built for one level
 _TERM_MASK_BYTES = 1 << 28
 
 
+@functools.lru_cache(maxsize=8)
 def _key_weights(q: int, v: int) -> np.ndarray:
     """Base-q positional weights: reduced exponent vectors encode as keys
     below q^v whose order is the colex order.  Only formed once _check_caps
-    has refused q^v >= 2^63."""
-    return (q ** np.arange(v)).astype(np.int64)
+    has refused q^v >= 2^63; shared, so read-only."""
+    kw = (q ** np.arange(v)).astype(np.int64)
+    kw.flags.writeable = False
+    return kw
 
 
 def _column_scan(ring: GradedHypersurface, e: int, U: np.ndarray):
@@ -417,17 +495,16 @@ def _column_scan(ring: GradedHypersurface, e: int, U: np.ndarray):
     u + w <= q - 1, as (first column, bitset rows over the terms)."""
     q = ring.field.p ** e
     masks = ring._term_masks(e)
-    room = (q - 1) - U.astype(np.int64)
-    # a column with a negative room has no valid product at all
-    dead = (room < 0).any(axis=1)
-    room = np.maximum(room, 0)
-    chunk = max(1, _SCAN_WORDS // max(1, masks.shape[2]))
+    chunk = max(1, _SCAN_WORDS // max(ring.v, masks.shape[2]))
     for j0 in range(0, U.shape[0], chunk):
-        r = room[j0:j0 + chunk]
-        acc = masks[0][r[:, 0]]
+        room = (q - 1) - U[j0:j0 + chunk].astype(np.int64)
+        # a column with a negative room has no valid product at all
+        dead = (room < 0).any(axis=1)
+        np.maximum(room, 0, out=room)
+        acc = masks[0][room[:, 0]]
         for i in range(1, ring.v):
-            acc &= masks[i][r[:, i]]
-        acc[dead[j0:j0 + chunk]] = 0
+            acc &= masks[i][room[:, i]]
+        acc[dead] = 0
         yield j0, acc
 
 
@@ -442,9 +519,10 @@ def _has_zero_column(ring: GradedHypersurface, e: int, m: int) -> bool:
 class _Block(NamedTuple):
     """The nonzero entries of one block of Phi, without its zero rows and
     zero columns: entry t sits at (rows[t], cols[t]) and has value vals[t];
-    row_keys[i] encodes the target monomial of row i.  rows and cols come
-    in the smallest unsigned dtype that holds the row and the column count,
-    vals in the one that holds p - 1."""
+    row_keys[i] encodes the target monomial of row i as its base-q number,
+    whose order is the colex order of the rows.  Entries come column by
+    column; rows and cols in the smallest unsigned dtype that holds the row
+    and the column count, vals in the one that holds p - 1."""
 
     shape: tuple[int, int]
     rows: np.ndarray
@@ -453,33 +531,73 @@ class _Block(NamedTuple):
     row_keys: np.ndarray
 
 
-def _build_block(ring: GradedHypersurface, e: int, U: np.ndarray) -> _Block:
-    """The block of Phi_{e,m} on the columns U (n x v): column j holds the
-    coefficient of w in G^(q-1) at the row of U[j] + w, for every w with
-    U[j] + w <= q - 1.  The column index jj of the entries arrives sorted,
-    since the chunks come in order and np.nonzero is row-major, so the
-    columns are numbered by runs; the row keys need np.unique's sort."""
+def _build_block(ring: GradedHypersurface, e: int, m: int,
+                 U: np.ndarray) -> _Block:
+    """The block of Phi_{e,m} on the degree-m columns U (n x v): column j
+    holds the coefficient of w in G^(q-1) at the row of U[j] + w, for every
+    w with U[j] + w <= q - 1.
+
+    The entries are unpacked from the column scan's bitsets in chunks of at
+    most _ENTRY_CELLS cells, and each is stored as it arrives: its column
+    (numbered by runs, since the columns come in order), its value, and the
+    colex rank of its target among the degree-D monomials with every
+    exponent <= q - 1, D = m + delta * (q - 1).  A hit mask over the ranks
+    numbers the rows in colex order, which is the order of the row keys,
+    and a scatter of the entries' keys by rank gives the row keys."""
     q = ring.field.p ** e
+    v = ring.v
     W, cw = ring._gq_arrays(e)
-    jj, tt = [], []
+    D = m + ring.delta * (q - 1)
+    P, R = _colex_tables(v, D, q - 1)
+    count = n_monomials_capped(v, D, q - 1)
+    # a_i of a target is a_i of its column plus a_i of its term, and so is
+    # its key; row i - 1 of au is offset into row i - 1 of R.flat
+    au = np.cumsum(U[:, :-1], axis=1, dtype=np.intp).T \
+        + np.arange(0, R.size, D + 1)[:, None]
+    aw = np.cumsum(W[:, :-1], axis=1, dtype=np.intp).T
+    kw = _key_weights(q, v)
+    wkeys = W @ kw
+    hit = np.zeros(count, dtype=bool)
+    keys = np.empty(count, dtype=np.int64)
+    rank_type = np.min_scalar_type(max(count - 1, 0))
+    col_type = np.min_scalar_type(U.shape[0])
+    ranks, cols, vals = [], [], []
+    ncols = 0
+    step = max(1, _ENTRY_CELLS // max(1, W.shape[0]))
     for j0, acc in _column_scan(ring, e, U):
         live = np.flatnonzero(acc.any(axis=1))
-        bits = np.unpackbits(acc[live].view(np.uint8), axis=1,
-                             count=W.shape[0], bitorder="little")
-        j, t = np.nonzero(bits)
-        jj.append(live[j] + j0)
-        tt.append(t)
-    jj = np.concatenate(jj)
-    tt = np.concatenate(tt)
-    kw = _key_weights(q, ring.v)
-    keys = (U @ kw)[jj] + (W @ kw)[tt]
-    row_keys, rows = np.unique(keys, return_inverse=True)
-    new = np.diff(jj, prepend=-1) != 0
-    ncols = int(np.count_nonzero(new))
-    return _Block((row_keys.size, ncols),
-                  rows.reshape(-1).astype(np.min_scalar_type(row_keys.size)),
-                  (np.cumsum(new) - 1).astype(np.min_scalar_type(ncols)),
-                  cw[tt], row_keys)
+        for s in range(0, live.size, step):
+            c = live[s:s + step]
+            bits = np.unpackbits(acc[c].view(np.uint8), axis=1,
+                                 count=W.shape[0], bitorder="little")
+            j, t = np.nonzero(bits)
+            idx = au.take(c.take(j) + j0, axis=1)
+            idx += aw.take(t, axis=1)
+            r = R.take(idx).sum(axis=0)
+            r += P[v - 1, D] - 1
+            hit[r] = True
+            keys[r] = (U[c + j0] @ kw).take(j) + wkeys.take(t)
+            ranks.append(r.astype(rank_type))
+            cols.append((j + (ncols + s)).astype(col_type))
+            vals.append(cw[t])
+        ncols += live.size
+    if not ncols:  # every column is dead
+        return _Block((0, 0), np.zeros(0, np.uint8), np.zeros(0, np.uint8),
+                      cw[:0], np.zeros(0, np.int64))
+    targets = np.flatnonzero(hit)
+    nrows = targets.size
+    lookup = np.empty(count, dtype=np.min_scalar_type(nrows))
+    lookup[targets] = np.arange(nrows)
+    rows = np.empty(sum(r.size for r in ranks), dtype=lookup.dtype)
+    at = 0
+    for k, r in enumerate(ranks):  # free each chunk once it is numbered
+        rows[at:at + r.size] = lookup[r]
+        at += r.size
+        ranks[k] = None
+    return _Block((nrows, ncols), rows,
+                  np.concatenate(cols).astype(np.min_scalar_type(ncols),
+                                              copy=False),
+                  np.concatenate(vals), keys[targets])
 
 
 def _sketched(rows: int, cols: int) -> bool:
@@ -589,7 +707,7 @@ def _certify(ring: GradedHypersurface, e: int, m: int,
                                     layout.weights):
         if not w or rows == 0 or cols == 0:
             continue
-        blk = _build_block(ring, e, layout.basis[idx])
+        blk = _build_block(ring, e, m, layout.basis[idx])
         nrows, ncols = blk.shape
         if nrows > rows or idx.size != cols:
             raise InternalCheckError(
@@ -627,7 +745,7 @@ def _dense(blk: _Block, tall: bool) -> np.ndarray:
     """The block as a dense matrix, transposed when that makes it tall
     (for the batched engine) or wide (for the blocked engine, which runs
     faster on the wide orientation); the rank is the same."""
-    A = np.zeros(blk.shape)
+    A = np.zeros(blk.shape, dtype=blk.vals.dtype)
     A[blk.rows, blk.cols] = blk.vals
     nrows, ncols = blk.shape
     return A.T if (nrows < ncols if tall else nrows > ncols) else A
@@ -637,7 +755,10 @@ def _sketch(ring: GradedHypersurface, e: int, m: int,
             blk: _Block) -> np.ndarray:
     """Row compression of a block of Phi_{e,m}: every row is hashed to one
     of ncols + _SPARE buckets with a nonzero key-dependent coefficient.
-    Deterministic in (block, e, m)."""
+    Deterministic in (block, e, m).  The entries are accumulated in chunks
+    of _SKETCH_ENTRIES, each into the columns it spans; every partial sum is
+    an integer below p times the entry count, exact in float64, so the
+    chunking leaves S unchanged."""
     p = ring.field.p
     ncols = blk.shape[1]
     r = ncols + _SPARE
@@ -646,10 +767,16 @@ def _sketch(ring: GradedHypersurface, e: int, m: int,
     buckets = ((keys * _HASH_A + sd) >> np.uint64(32)).astype(np.int64) % r
     mix = ((keys * _HASH_B + sd) >> np.uint64(29)).astype(np.int64)
     coeffs = 1 + mix % (p - 1) if p > 2 else np.ones_like(mix)
-    vals = (blk.vals * coeffs[blk.rows]) % p
-    S = np.bincount(buckets[blk.rows] * ncols + blk.cols,
-                    weights=vals.astype(np.float64), minlength=r * ncols)
-    return np.remainder(S, p, out=S).reshape(r, ncols)
+    S = np.zeros((r, ncols))
+    for t in range(0, blk.vals.size, _SKETCH_ENTRIES):
+        rows = blk.rows[t:t + _SKETCH_ENTRIES]
+        cols = blk.cols[t:t + _SKETCH_ENTRIES]
+        lo, hi = int(cols.min()), int(cols.max()) + 1
+        vals = blk.vals[t:t + _SKETCH_ENTRIES] * coeffs[rows] % p
+        S[:, lo:hi] += np.bincount(
+            buckets[rows] * (hi - lo) + (cols - lo), weights=vals,
+            minlength=r * (hi - lo)).reshape(r, hi - lo)
+    return np.remainder(S, p, out=S)
 
 
 def _sketch_seed(ring: GradedHypersurface, e: int, m: int) -> int:
@@ -755,9 +882,10 @@ def m_threshold(ring: GradedHypersurface, e: int,
     Correctness rests on the monotonicity of "I_e(m) != 0" alone; that of
     the witnesses only makes the search fast.  Each scan and each rank
     builds its own basis and layout and drops them when it returns, so the
-    ring keeps nothing of the search but its ranks.  A rank refused by a
-    cap ends the search in a linear scan from the last degree known to be
-    zero, so only a rank the answer needs can raise.
+    ring keeps nothing of the search but its ranks.  When a cap refuses the
+    rank at w - 1, galloping and bisection run on the ranks below w; a rank
+    refused after that ends the search in a linear scan from the last
+    degree known to be zero, so only a rank the answer needs can raise.
     """
     if not fedder_is_fsplit(ring, e):
         raise ValidationError(f"not F-split at level e={e}")
@@ -774,15 +902,25 @@ def m_threshold(ring: GradedHypersurface, e: int,
         return False
 
     w = _first(lambda m: _has_zero_column(ring, e, m), scan_cap + 1)
+    first = w  # the least degree known to be nonzero, or w
     try:
         if w > 1 and nonzero(w - 1):
+            first = w - 1
             return _first(lambda m: m >= w - 1 or nonzero(m),
                           scan_cap + 1) - 1
     except InstanceTooLarge:
-        # every degree from w on holds a witness
-        for m in range(zero + 1, w):
-            if nonzero(m):
-                return m - 1
+        # every degree from w on holds a witness.  A refused rank at w - 1
+        # gives way to a gallop over the ranks below it; any later refusal
+        # to a linear scan from the last degree known to be zero
+        if first == w:
+            try:
+                first = _first(nonzero, w)
+            except InstanceTooLarge:
+                pass
+        first = next((m for m in range(zero + 1, first) if nonzero(m)),
+                     first)
+        if first < w:
+            return first - 1
     if w > scan_cap:
         raise InternalCheckError(
             f"threshold scan passed the cap m={scan_cap} without finding "

@@ -99,6 +99,21 @@ class TestMonomials:
         if cap is not None:
             assert len(want) == n_monomials_capped(v, m, cap)
 
+    @settings(max_examples=100, deadline=None)
+    @given(v=st.integers(1, 5), m=st.integers(0, 12),
+           cap=st.one_of(st.none(), st.integers(0, 12)),
+           lo=st.integers(0, 13), span=st.integers(0, 14))
+    def test_ranged_exponent_array_is_a_run(self, v, m, cap, lo, span):
+        # the vectors whose last exponent lies in range(lo, lo + span), as
+        # the contiguous run of the full colex array that holds them
+        full = exponent_array(v, m, cap)
+        keep = (full[:, -1] >= lo) & (full[:, -1] < lo + span)
+        part = exponent_array(v, m, cap, last=range(lo, lo + span))
+        assert part.dtype == np.int64
+        assert np.array_equal(part, full[keep])
+        idx = np.flatnonzero(keep)
+        assert idx.size == 0 or idx[-1] - idx[0] + 1 == idx.size
+
     def test_capped_count_zero_when_impossible(self):
         assert n_monomials_capped(3, 10, 2) == 0  # 3*2 < 10
 

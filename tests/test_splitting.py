@@ -1,5 +1,6 @@
 """Tests for the graded splitting-subspace engine."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import frobw.splitting as splitting
 from frobw.errors import InstanceTooLarge, InternalCheckError, ValidationError
-from frobw.ffkernel import PolynomialFp, PrimeField
+from frobw.ffkernel import PolynomialFp, PrimeField, exponent_array
 from frobw.frozen_values import FROZEN
 from frobw.oracle import naive_b_dimension
 from frobw.splitting import (
@@ -47,6 +48,15 @@ def ungraded_quadric():
     F = PrimeField(3)
     G = PolynomialFp(F, 4, {(2, 0, 0, 0): 1, (1, 1, 0, 0): 1,
                             (0, 1, 1, 0): 1, (0, 0, 1, 1): 1})
+    return GradedHypersurface(F, ("x0", "x1", "x2", "x3"), G)
+
+
+def f_split_cubic():
+    """An F-split cubic surface over F_3."""
+    F = PrimeField(3)
+    G = PolynomialFp(F, 4, {(2, 0, 1, 0): 1, (2, 1, 0, 0): 1,
+                            (1, 1, 0, 1): 1, (0, 1, 1, 1): 2,
+                            (1, 0, 1, 1): 1})
     return GradedHypersurface(F, ("x0", "x1", "x2", "x3"), G)
 
 
@@ -434,42 +444,163 @@ class TestBDimension:
             b_dimension(cubic_p5, 1, -1)
 
 
+def unique_numbered_block(ring, e, U) -> splitting._Block:
+    """The block of Phi on the columns U, numbered the way np.unique numbers
+    it: every product u + w with no exponent past q - 1, column by column,
+    rows in the order of their sorted keys."""
+    q = ring.field.p ** e
+    W, cw = ring._gq_arrays(e)
+    W = W.astype(np.int64)
+    jj, tt = [], []
+    for j0 in range(0, U.shape[0], 64):
+        j, t = np.nonzero(
+            (U[j0:j0 + 64, None, :].astype(np.int64) + W <= q - 1).all(axis=2))
+        jj.append(j + j0)
+        tt.append(t)
+    jj, tt = np.concatenate(jj), np.concatenate(tt)
+    row_keys, rows = np.unique(
+        (U[jj].astype(np.int64) + W[tt]) @ q ** np.arange(ring.v),
+        return_inverse=True)
+    col_ids, cols = np.unique(jj, return_inverse=True)
+    return splitting._Block(
+        (row_keys.size, col_ids.size),
+        rows.reshape(-1).astype(np.min_scalar_type(row_keys.size)),
+        cols.reshape(-1).astype(np.min_scalar_type(col_ids.size)),
+        cw[tt], row_keys)
+
+
+def layout_by_every_target(ring, e, m) -> splitting._Layout:
+    """_layout's answer from one labelling of the basis and every target."""
+    q = ring.field.p ** e
+    D = m + ring.delta * (q - 1)
+    basis = ring.restricted_basis(m)
+    targets = exponent_array(ring.v, D, q - 1) - (q - 1) * ring._w0
+    labels = splitting._class_labels(ring, np.concatenate([basis, targets]))
+    col_labels = labels[:basis.shape[0]]
+    classes = np.unique(col_labels)
+    columns = [np.flatnonzero(col_labels == c) for c in classes]
+    shapes = [(int(np.count_nonzero(labels[basis.shape[0]:] == c)), idx.size)
+              for c, idx in zip(classes, columns)]
+    weights = splitting._orbit_weights(
+        ring, basis[[idx[0] for idx in columns]], shapes)
+    return splitting._Layout(basis, shapes, columns, weights)
+
+
 class TestBuildBlock:
     def test_dead_columns_give_an_empty_block(self, quadric_p3):
-        # every column has an exponent >= q, so no product survives
+        # every column has an exponent >= q, so no product survives; the
+        # dead columns have degrees 3 and 5, and only the live column's
+        # degree m = 2 sets the targets' degree
         U = np.array([[3, 0, 0, 0], [0, 1, 4, 0]], dtype=np.uint8)
-        blk = splitting._build_block(quadric_p3, 1, U)
+        blk = splitting._build_block(quadric_p3, 1, 2, U)
         assert blk.shape == (0, 0)
         for a in (blk.rows, blk.cols, blk.vals, blk.row_keys):
             assert a.size == 0
         # a live column between dead ones is numbered 0
         live = np.array([[1, 1, 0, 0]], dtype=np.uint8)
-        blk = splitting._build_block(quadric_p3, 1, np.insert(U, 1, live, 0))
+        blk = splitting._build_block(quadric_p3, 1, 2,
+                                     np.insert(U, 1, live, 0))
         assert blk.shape[1] == 1 and blk.rows.size > 0
         assert not blk.cols.any()
 
-    def test_matches_unique_numbering(self):
-        # the first ranked block of the p=5 quadric threefold at e=2, m=24
+    @pytest.mark.parametrize("ring,e,m", [
+        pytest.param(lambda: diagonal_hypersurface(5, 5, 2), 2, 24,
+                     id="Q3-p5-e2-m24"),
+        pytest.param(ungraded_quadric, 3, 20, id="ungraded-e3-m20"),
+        pytest.param(ungraded_quadric, 3, 26, id="ungraded-e3-m26"),
+        pytest.param(f_split_cubic, 3, 13, id="cubic-p3-e3-m13"),
+        *[pytest.param(lambda: diagonal_hypersurface(101, 3, 2), 1, m,
+                       id=f"conic-p101-m{m}") for m in (0, 50, 100)]])
+    def test_matches_unique_numbering(self, ring, e, m, monkeypatch):
+        # every ranked block, also with chunks of a few entries and one
+        # bitset word per scan, numbers its rows and columns as np.unique
+        # would, with the same dtypes
+        ring = ring()
+        layout = splitting._layout(ring, e, m)
+        for k, w in enumerate(layout.weights):
+            if not w:
+                continue
+            U = layout.basis[layout.columns[k]]
+            want = unique_numbered_block(ring, e, U)
+            blocks = [splitting._build_block(ring, e, m, U)]
+            with monkeypatch.context() as small:
+                small.setattr(splitting, "_ENTRY_CELLS", 1000)
+                small.setattr(splitting, "_SCAN_WORDS", 1)
+                blocks.append(splitting._build_block(ring, e, m, U))
+            for blk in blocks:
+                assert blk.shape == want.shape
+                for got, ref in zip(blk[1:], want[1:]):
+                    assert got.dtype == ref.dtype
+                    assert np.array_equal(got, ref)
+
+    def test_sketch_is_chunk_free(self, monkeypatch):
+        # the sketch of the largest block of the p=5 quadric threefold at
+        # e=2, m=24 is the same in chunks of 1000 entries as in one chunk
         ring = diagonal_hypersurface(5, 5, 2)
-        q = 25
         layout = splitting._layout(ring, 2, 24)
-        k = next(i for i, w in enumerate(layout.weights) if w)
-        U = layout.basis[layout.columns[k]]
-        blk = splitting._build_block(ring, 2, U)
-        # every product u + w with no exponent past q - 1, column by column
-        W, cw = ring._gq_arrays(2)
-        U, W = U.astype(np.int64), W.astype(np.int64)
-        jj, tt = np.nonzero((U[:, None, :] + W <= q - 1).all(axis=2))
-        row_keys, rows = np.unique((U[jj] + W[tt]) @ q ** np.arange(ring.v),
-                                   return_inverse=True)
-        col_ids, cols = np.unique(jj, return_inverse=True)
-        assert blk.shape == (row_keys.size, col_ids.size) == (13650, 455)
-        assert blk.rows.dtype == np.min_scalar_type(row_keys.size)
-        assert blk.cols.dtype == np.min_scalar_type(col_ids.size)
-        assert np.array_equal(blk.rows, rows.reshape(-1))
-        assert np.array_equal(blk.cols, cols.reshape(-1))
-        assert np.array_equal(blk.vals, cw[tt])
-        assert np.array_equal(blk.row_keys, row_keys)
+        blk = splitting._build_block(ring, 2, 24,
+                                     layout.basis[layout.columns[0]])
+        monkeypatch.setattr(splitting, "_SKETCH_ENTRIES", blk.vals.size)
+        whole = splitting._sketch(ring, 2, 24, blk)
+        monkeypatch.setattr(splitting, "_SKETCH_ENTRIES", 1000)
+        assert np.array_equal(splitting._sketch(ring, 2, 24, blk), whole)
+
+    def test_block_and_sketch_memory_is_bounded(self):
+        # building and sketching the largest block of the p=5 quadric
+        # threefold at e=2, m=24 (13650 x 455, 500540 entries, 2.5 MiB of
+        # COO arrays, a 2.1 MiB sketch) stays under 16 MiB of traced peak
+        # (about 6.5 MiB); a sort of every entry's int64 key took 40 MiB
+        ring = diagonal_hypersurface(5, 5, 2)
+        layout = splitting._layout(ring, 2, 24)
+        U = layout.basis[layout.columns[0]]
+        assert layout.shapes[0] == max(layout.shapes)
+        ring._term_masks(2)  # the level's tables are not the block's
+        tracemalloc.start()
+        try:
+            blk = splitting._build_block(ring, 2, 24, U)
+            splitting._sketch(ring, 2, 24, blk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blk.vals.size == 500540
+        assert peak < 16 * 2 ** 20
+
+
+class TestLayout:
+    @pytest.mark.parametrize("ring,e,degrees", [
+        pytest.param(lambda: diagonal_hypersurface(3, 4, 2), 2,
+                     range(0, 17, 3), id="Q2-p3-e2"),
+        pytest.param(lambda: diagonal_hypersurface(5, 4, 3), 2,
+                     range(0, 25, 4), id="cubic-p5-e2"),
+        pytest.param(lambda: diagonal_hypersurface(7, 3, 2), 2,
+                     range(0, 49, 8), id="conic-p7-e2"),
+        pytest.param(lambda: diagonal_hypersurface(3, 5, 2), 2,
+                     (0, 8, 13, 24), id="Q3-p3-e2"),
+        pytest.param(lambda: GradedHypersurface(
+            PrimeField(3), ("x0", "x1", "x2", "x3"),
+            PolynomialFp(PrimeField(3), 4, {(2, 0, 0, 0): 1, (0, 1, 1, 0): 1,
+                                           (0, 0, 0, 2): 1})),
+                     2, range(0, 17, 2), id="split-p3-e2")])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
+    def test_chunked_layout_matches_every_target(self, ring, e, degrees,
+                                                 rows_per_chunk,
+                                                 monkeypatch):
+        # with a lowered chunk bound, small rings take the chunked path of
+        # the basis and of the targets; shapes, columns, weights and the
+        # basis equal those of one labelling of every target
+        ring = ring()
+        if rows_per_chunk is not None:
+            monkeypatch.setattr(splitting, "_ENUM_ROWS", rows_per_chunk)
+        for m in degrees:
+            got = splitting._layout(ring, e, m)
+            want = layout_by_every_target(ring, e, m)
+            assert got.basis.dtype == want.basis.dtype
+            assert np.array_equal(got.basis, want.basis)
+            assert got.shapes == want.shapes
+            assert got.weights == want.weights
+            assert len(got.columns) == len(want.columns)
+            for a, b in zip(got.columns, want.columns):
+                assert np.array_equal(a, b)
 
 
 class TestSymmetryOrbits:
@@ -612,16 +743,49 @@ class TestThresholds:
         assert laid_out == [8]
 
     def test_refused_degree_keeps_no_cache(self):
-        # m_threshold: the first zero column is at 25, the rank at 24 and
-        # then, scanning linearly from 1, the rank at 14 are refused by the
-        # work cap after their layouts are counted; profile: the pre-check
-        # refuses 14 after counting degrees 0..13
+        # m_threshold: the first zero column is at 25; the ranks at 24, at
+        # 16 (galloping) and at 14 (scanning linearly from 9) are refused by
+        # the work cap after their layouts are counted; profile: the
+        # pre-check refuses 14 after counting degrees 0..13
         for run in (m_threshold, profile):
             ring = diagonal_hypersurface(5, 5, 2)
             with pytest.raises(InstanceTooLarge,
                                match="at m=14: .* work cap"):
                 run(ring, 2, work_cap=1e6)
             assert not ring._layout_cache
+
+    def test_refused_rank_gallops_then_scans(self, monkeypatch):
+        # the rank at w - 1 = 24 is refused, so the search gallops over the
+        # ranks below it; 16 is refused too, so it scans linearly from the
+        # last zero degree, 8, and only the rank at 14, which the answer
+        # needs, raises
+        ring = diagonal_hypersurface(5, 5, 2)
+        checked = self.spy_caps(monkeypatch)
+        with pytest.raises(InstanceTooLarge, match="at m=14: .* work cap"):
+            m_threshold(ring, 2, work_cap=1e6)
+        assert checked == [24, 1, 2, 4, 8, 16, 9, 10, 11, 12, 13, 14]
+
+    def test_refused_rank_at_w_minus_1_gallops(self, monkeypatch):
+        # x^2 + y^2 + z^2 at p = 7, e = 2 (m_e = 24, first zero column at
+        # w = 42) with only the rank at 41 refused: the gallop below 42
+        # finds m_e without that rank
+        ring = diagonal_hypersurface(7, 3, 2)
+        checked = self.spy_caps(monkeypatch, refuse=41)
+        assert m_threshold(ring, 2) == 24
+        assert checked == [41, 1, 2, 4, 8, 16, 32, 24, 28, 26, 25]
+
+    @staticmethod
+    def spy_caps(monkeypatch, refuse=None) -> list[int]:
+        """Record the degree of every _check_caps call; refuse one degree."""
+        checked, check = [], splitting._check_caps
+
+        def recorded(ring, e, m, work_cap):
+            checked.append(m)
+            if m == refuse:
+                raise InstanceTooLarge(f"refused m={m}")
+            return check(ring, e, m, work_cap)
+        monkeypatch.setattr(splitting, "_check_caps", recorded)
+        return checked
 
     @pytest.mark.parametrize("ring,e", [
         # the quadrics and cubics of criteria 2, 3 and 6 but Q_3 at p = 5,
@@ -679,14 +843,17 @@ class TestThresholds:
         # Phi_{3,13} of this F-split cubic over F_3 is one block of 560
         # nonzero rows and 274 columns: its sketch (338 rows) fails its
         # check, so the block is eliminated exactly
-        F = PrimeField(3)
-        G = PolynomialFp(F, 4, {(2, 0, 1, 0): 1, (2, 1, 0, 0): 1,
-                                (1, 1, 0, 1): 1, (0, 1, 1, 1): 2,
-                                (1, 0, 1, 1): 1})
-        names = ("x0", "x1", "x2", "x3")
-        assert b_dimension(GradedHypersurface(F, names, G), 3, 13) == 274
-        assert m_threshold(GradedHypersurface(F, names, G), 3) \
-            == profile(GradedHypersurface(F, names, G), 3).m_e == 13
+        assert b_dimension(f_split_cubic(), 3, 13) == 274
+        assert m_threshold(f_split_cubic(), 3) \
+            == profile(f_split_cubic(), 3).m_e == 13
+
+    def test_quadric_surface_level_3(self):
+        # m_3 = 5^3 - 1 for the p=5 quadric surface, certified by the one
+        # rank at m = 124; its largest block is 43680 x 2016 with 6.4 M
+        # entries (the CI workflow also bounds this call's peak RSS)
+        ring = diagonal_hypersurface(5, 4, 2)
+        assert m_threshold(ring, 3) == 124
+        assert set(ring._b_cache) == {(3, 124)}
 
     def test_exponents_past_int16(self):
         # G^(p-1) = (x0 x1)^40008 has exponents past 2^15; x0 is a zero
