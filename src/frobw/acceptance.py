@@ -283,18 +283,18 @@ def criterion_10(rings: _Rings) -> tuple[bool, str]:
 
 def criterion_11(rings: _Rings) -> tuple[bool, str]:
     """Free ranks a_1, a_2 of the p=5 cubic regress against the frozen
-    oracle values; s_raw reported next to the known limit 15/124 (not
-    reproducible exactly at this scale; no tolerance enforced)."""
+    oracle values, and a_3, which no oracle value covers, is reported; s_raw
+    reported next to the known limit 15/124 (not reproducible exactly at
+    this scale; no tolerance enforced)."""
     ring = rings.get(5, 4, 3)
-    a1 = profile(ring, 1).a_e
-    a2 = profile(ring, 2).a_e
-    ok = a1 == FROZEN["cubic_p5_e1_a"] and a2 == FROZEN["cubic_p5_e2_a"]
-    s1 = Fraction(a1, 5 ** 3)
-    s2 = Fraction(a2, 5 ** 6)
-    return ok, (f"a_1={a1} (frozen {FROZEN['cubic_p5_e1_a']}), "
-                f"a_2={a2} (frozen {FROZEN['cubic_p5_e2_a']}); "
-                f"s_raw: {s1} ~ {float(s1):.5f}, {s2} ~ {float(s2):.5f}; "
-                f"known limit 15/124 ~ {15 / 124:.5f}")
+    a = [profile(ring, e).a_e for e in (1, 2, 3)]
+    frozen = [FROZEN["cubic_p5_e1_a"], FROZEN["cubic_p5_e2_a"]]
+    s_raw = [Fraction(a_e, 5 ** (3 * e)) for e, a_e in enumerate(a, 1)]
+    return a[:2] == frozen, (
+        f"a_1={a[0]} (frozen {frozen[0]}), a_2={a[1]} (frozen {frozen[1]}), "
+        f"a_3={a[2]}; s_raw: "
+        + ", ".join(f"{s} ~ {float(s):.7f}" for s in s_raw)
+        + f"; known limit 15/124 ~ {15 / 124:.7f}")
 
 
 def criterion_12(rings: _Rings) -> tuple[bool, str]:

@@ -49,6 +49,8 @@ A block's width alone picks its engine: blocks with at most 128 nonzero
 columns are eliminated together, one vectorized step per column
 (kernel_fp_batched); wider blocks go one at a time through the BLAS-blocked
 engine (rank_fp_dense, kernel_fp_dense).
+
+Every degree of a level reads one _Level, built once per ring and level.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ import numpy as np
 
 from .errors import InstanceTooLarge, InternalCheckError, ValidationError
 from .ffkernel import (
-    DEFAULT_POWER_TERM_CAP,
     PolynomialFp,
     PrimeField,
     digit_power,
@@ -130,8 +131,7 @@ class GradedHypersurface:
         exps = sorted(G.terms)
         self._w0 = np.array(exps[0], dtype=np.int64)
         self._lattice = _grading_lattice(exps)
-        self._gq_arrays_cache: dict[int, tuple] = {}
-        self._term_masks_cache: dict[int, np.ndarray] = {}
+        self._levels: dict[int, _Level] = {}
         self._layout_cache: dict[tuple[int, int], _Layout] = {}
         self._b_cache: dict[tuple[int, int], int] = {}
 
@@ -152,46 +152,11 @@ class GradedHypersurface:
             return 0
         return self.dim_S(m) - self.dim_S(m - self.delta)
 
-    def gq(self, e: int) -> PolynomialFp:
-        """G^(p^e - 1), powered per call: the ring keeps only _gq_arrays."""
-        return digit_power(self.G, e, term_cap=DEFAULT_POWER_TERM_CAP)
-
-    def _gq_arrays(self, e: int):
-        """The terms of G^(p^e - 1) with every exponent <= q - 1, the only
-        ones a product with a monomial can keep: exponent matrix (T x v,
-        in the smallest unsigned dtype that holds q - 1) and coefficient
-        vector (in the smallest unsigned dtype that holds p - 1)."""
-        if e not in self._gq_arrays_cache:
-            q = self.field.p ** e
-            items = sorted((exps, c) for exps, c in self.gq(e).terms.items()
-                           if max(exps) < q)
-            W = np.array([exps for exps, _ in items],
-                         dtype=np.min_scalar_type(q - 1)).reshape(
-                             len(items), self.v)
-            cw = np.array([c for _, c in items],
-                          dtype=np.min_scalar_type(self.field.p - 1))
-            self._gq_arrays_cache[e] = (W, cw)
-        return self._gq_arrays_cache[e]
-
-    def _term_masks(self, e: int) -> np.ndarray:
-        """Bitsets over the terms of _gq_arrays(e): bit t of row [i, c] is
-        set when the exponent of x_i in term t is <= c, for 0 <= c < q."""
-        if e not in self._term_masks_cache:
-            W, _ = self._gq_arrays(e)
-            q = self.field.p ** e
-            nbytes = 8 * -(-W.shape[0] // 64)
-            if self.v * q * nbytes > _TERM_MASK_BYTES:
-                raise InstanceTooLarge(
-                    f"power too large: scanning {W.shape[0]} terms of "
-                    f"G^(q-1) at q={q} needs more than "
-                    f"{_TERM_MASK_BYTES} bytes of term masks")
-            masks = np.zeros((self.v, q, nbytes), dtype=np.uint8)
-            for i in range(self.v):
-                for c in range(q):
-                    bits = np.packbits(W[:, i] <= c, bitorder="little")
-                    masks[i, c, :bits.size] = bits
-            self._term_masks_cache[e] = masks.view(np.uint64)
-        return self._term_masks_cache[e]
+    def level(self, e: int) -> _Level:
+        """The _Level of e, built on first use and kept."""
+        if e not in self._levels:
+            self._levels[e] = _Level(self, e)
+        return self._levels[e]
 
     def restricted_basis(self, m: int) -> np.ndarray:
         """Degree-m monomials not divisible by the leading term of G, as an
@@ -480,40 +445,81 @@ _SKETCH_ENTRIES = 1 << 16
 _TERM_MASK_BYTES = 1 << 28
 
 
-@functools.lru_cache(maxsize=8)
-def _key_weights(q: int, v: int) -> np.ndarray:
-    """Base-q positional weights: reduced exponent vectors encode as keys
-    below q^v whose order is the colex order.  Only formed once _check_caps
-    has refused q^v >= 2^63; shared, so read-only."""
-    kw = (q ** np.arange(v)).astype(np.int64)
-    kw.flags.writeable = False
-    return kw
+class _Level:
+    """What every degree of level e of a ring reads: q = p^e and the terms
+    of G^(q-1) with every exponent <= q - 1, the only ones a product with a
+    monomial can keep, sorted, as an exponent matrix W (T x v, in the
+    smallest unsigned dtype that holds q - 1) and a coefficient vector cw
+    (in the smallest unsigned dtype that holds p - 1).  The term masks and
+    the key data are formed on first use, so fedder_is_fsplit forms
+    neither, and a degree that _check_caps refuses never reaches the level."""
+
+    def __init__(self, ring: GradedHypersurface, e: int):
+        self.p = p = ring.field.p
+        self.v = ring.v
+        self.delta = ring.delta
+        self.e = e
+        self.q = q = p ** e
+        items = sorted((exps, c) for exps, c
+                       in digit_power(ring.G, e).terms.items()
+                       if max(exps) < q)
+        self.W = np.array([exps for exps, _ in items],
+                          dtype=np.min_scalar_type(q - 1)).reshape(
+                              len(items), self.v)
+        self.cw = np.array([c for _, c in items],
+                           dtype=np.min_scalar_type(p - 1))
+
+    @functools.cached_property
+    def masks(self) -> np.ndarray:
+        """Bitsets over the terms W: bit t of row [i, c] is set when the
+        exponent of x_i in term t is <= c, for 0 <= c < q."""
+        nbytes = 8 * -(-self.W.shape[0] // 64)
+        if self.v * self.q * nbytes > _TERM_MASK_BYTES:
+            raise InstanceTooLarge(
+                f"power too large: scanning {self.W.shape[0]} terms of "
+                f"G^(q-1) at q={self.q} needs more than "
+                f"{_TERM_MASK_BYTES} bytes of term masks")
+        masks = np.zeros((self.v, self.q, nbytes), dtype=np.uint8)
+        for i in range(self.v):
+            for c in range(self.q):
+                bits = np.packbits(self.W[:, i] <= c, bitorder="little")
+                masks[i, c, :bits.size] = bits
+        return masks.view(np.uint64)
+
+    @functools.cached_property
+    def keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(kw, wkeys, aw): base-q weights, under which reduced exponent
+        vectors encode as keys below q^v in colex order; the keys W @ kw of
+        the terms; their a_i, aw[i - 1, t] = W[t, 0] + ... + W[t, i - 1].
+        Formed only once _check_caps has refused q^v >= 2^63."""
+        kw = (self.q ** np.arange(self.v)).astype(np.int64)
+        aw = np.cumsum(self.W[:, :-1], axis=1, dtype=np.intp).T
+        return kw, self.W @ kw, aw
 
 
-def _column_scan(ring: GradedHypersurface, e: int, U: np.ndarray):
+def _column_scan(level: _Level, U: np.ndarray):
     """For chunks of the columns U (n x v), the terms w of G^(q-1) with
     u + w <= q - 1, as (first column, bitset rows over the terms)."""
-    q = ring.field.p ** e
-    masks = ring._term_masks(e)
-    chunk = max(1, _SCAN_WORDS // max(ring.v, masks.shape[2]))
+    masks = level.masks
+    chunk = max(1, _SCAN_WORDS // max(level.v, masks.shape[2]))
     for j0 in range(0, U.shape[0], chunk):
-        room = (q - 1) - U[j0:j0 + chunk].astype(np.int64)
+        room = (level.q - 1) - U[j0:j0 + chunk].astype(np.int64)
         # a column with a negative room has no valid product at all
         dead = (room < 0).any(axis=1)
         np.maximum(room, 0, out=room)
         acc = masks[0][room[:, 0]]
-        for i in range(1, ring.v):
+        for i in range(1, level.v):
             acc &= masks[i][room[:, i]]
         acc[dead] = 0
         yield j0, acc
 
 
-def _has_zero_column(ring: GradedHypersurface, e: int, m: int) -> bool:
-    """Whether some restricted basis monomial u admits no valid product,
-    i.e. u is a monomial witness for I_e(m) != 0.  Linear work, no rank,
-    and no enumeration of the target monomials."""
+def _has_zero_column(level: _Level, basis: np.ndarray) -> bool:
+    """Whether some monomial u of the restricted basis of a degree m admits
+    no valid product, i.e. u is a monomial witness for I_e(m) != 0.  Linear
+    work, no rank, and no enumeration of the target monomials."""
     return any(not acc.any(axis=1).all()
-               for _, acc in _column_scan(ring, e, ring.restricted_basis(m)))
+               for _, acc in _column_scan(level, basis))
 
 
 class _Block(NamedTuple):
@@ -531,8 +537,7 @@ class _Block(NamedTuple):
     row_keys: np.ndarray
 
 
-def _build_block(ring: GradedHypersurface, e: int, m: int,
-                 U: np.ndarray) -> _Block:
+def _build_block(level: _Level, m: int, U: np.ndarray) -> _Block:
     """The block of Phi_{e,m} on the degree-m columns U (n x v): column j
     holds the coefficient of w in G^(q-1) at the row of U[j] + w, for every
     w with U[j] + w <= q - 1.
@@ -544,19 +549,15 @@ def _build_block(ring: GradedHypersurface, e: int, m: int,
     exponent <= q - 1, D = m + delta * (q - 1).  A hit mask over the ranks
     numbers the rows in colex order, which is the order of the row keys,
     and a scatter of the entries' keys by rank gives the row keys."""
-    q = ring.field.p ** e
-    v = ring.v
-    W, cw = ring._gq_arrays(e)
-    D = m + ring.delta * (q - 1)
+    q, v, W, cw = level.q, level.v, level.W, level.cw
+    kw, wkeys, aw = level.keys
+    D = m + level.delta * (q - 1)
     P, R = _colex_tables(v, D, q - 1)
     count = n_monomials_capped(v, D, q - 1)
     # a_i of a target is a_i of its column plus a_i of its term, and so is
     # its key; row i - 1 of au is offset into row i - 1 of R.flat
     au = np.cumsum(U[:, :-1], axis=1, dtype=np.intp).T \
         + np.arange(0, R.size, D + 1)[:, None]
-    aw = np.cumsum(W[:, :-1], axis=1, dtype=np.intp).T
-    kw = _key_weights(q, v)
-    wkeys = W @ kw
     hit = np.zeros(count, dtype=bool)
     keys = np.empty(count, dtype=np.int64)
     rank_type = np.min_scalar_type(max(count - 1, 0))
@@ -564,7 +565,7 @@ def _build_block(ring: GradedHypersurface, e: int, m: int,
     ranks, cols, vals = [], [], []
     ncols = 0
     step = max(1, _ENTRY_CELLS // max(1, W.shape[0]))
-    for j0, acc in _column_scan(ring, e, U):
+    for j0, acc in _column_scan(level, U):
         live = np.flatnonzero(acc.any(axis=1))
         for s in range(0, live.size, step):
             c = live[s:s + step]
@@ -651,7 +652,9 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
                 work_cap: float | None = None) -> int:
     """b_e(m) = dim R_m - dim I_e(m) = rank Phi_{e,m}.  Certified exact.
     The ring keeps the rank; the layout, from _check_caps, is a local that
-    lives only as long as this call, so nothing is evicted by hand."""
+    lives only as long as this call, so nothing is evicted by hand.  The
+    level is taken only once the caps pass, so a refused degree never
+    powers G^(q-1)."""
     if e < 1:
         raise ValidationError(f"level must be >= 1, got {e}")
     if m < 0:
@@ -659,13 +662,13 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
     key = (e, m)
     if key in ring._b_cache:
         return ring._b_cache[key]
-    b = _certify(ring, e, m, _check_caps(ring, e, m, work_cap))
+    layout = _check_caps(ring, e, m, work_cap)
+    b = _certify(ring.level(e), m, layout)
     ring._b_cache[key] = b
     return b
 
 
-def _certify(ring: GradedHypersurface, e: int, m: int,
-             layout: _Layout) -> int:
+def _certify(level: _Level, m: int, layout: _Layout) -> int:
     """Sum of the certified ranks of the ranked blocks of Phi_{e,m}, each
     counted its layout weight times.
 
@@ -679,7 +682,7 @@ def _certify(ring: GradedHypersurface, e: int, m: int,
     fails its check is eliminated exactly by rank_fp_dense, or refused
     (InstanceTooLarge) when it passes DENSE_CELLS.
     """
-    p = ring.field.p
+    p = level.p
     queue, cells = [], 0
 
     def settle(w, rank, K, true) -> int:
@@ -707,11 +710,11 @@ def _certify(ring: GradedHypersurface, e: int, m: int,
                                     layout.weights):
         if not w or rows == 0 or cols == 0:
             continue
-        blk = _build_block(ring, e, m, layout.basis[idx])
+        blk = _build_block(level, m, layout.basis[idx])
         nrows, ncols = blk.shape
         if nrows > rows or idx.size != cols:
             raise InternalCheckError(
-                f"block bookkeeping at e={e}, m={m}: built {nrows} x "
+                f"block bookkeeping at e={level.e}, m={m}: built {nrows} x "
                 f"{idx.size}, counted {rows} x {cols}")
         if nrows == 0:
             continue
@@ -722,12 +725,12 @@ def _certify(ring: GradedHypersurface, e: int, m: int,
         if ncols > _BATCH_COLS:
             if sketch:
                 total += settle(w, *kernel_fp_dense(
-                    _sketch(ring, e, m, blk), p), blk)
+                    _sketch(level, m, blk), p), blk)
             else:
                 total += w * rank_fp_dense(_dense(blk, tall=False), p)
             continue
         if sketch:
-            A = _sketch(ring, e, m, blk)
+            A = _sketch(level, m, blk)
             # the check needs the entries, not the row keys
             queue.append((w, A, blk._replace(row_keys=None)))
             cells += blk.vals.size
@@ -751,18 +754,22 @@ def _dense(blk: _Block, tall: bool) -> np.ndarray:
     return A.T if (nrows < ncols if tall else nrows > ncols) else A
 
 
-def _sketch(ring: GradedHypersurface, e: int, m: int,
-            blk: _Block) -> np.ndarray:
+def _sketch(level: _Level, m: int, blk: _Block) -> np.ndarray:
     """Row compression of a block of Phi_{e,m}: every row is hashed to one
     of ncols + _SPARE buckets with a nonzero key-dependent coefficient.
     Deterministic in (block, e, m).  The entries are accumulated in chunks
     of _SKETCH_ENTRIES, each into the columns it spans; every partial sum is
     an integer below p times the entry count, exact in float64, so the
     chunking leaves S unchanged."""
-    p = ring.field.p
+    p = level.p
     ncols = blk.shape[1]
     r = ncols + _SPARE
-    sd = np.uint64(_sketch_seed(ring, e, m))
+    # the seed hashes (p, v, delta, e, m, 0); the trailing 0 is part of the
+    # hashed tuple: dropping it would change every sketch
+    h = 0xCBF29CE484222325
+    for x in (p, level.v, level.delta, level.e, m, 0):
+        h = ((h ^ x) * 0x100000001B3) % 2 ** 64
+    sd = np.uint64(h)
     keys = blk.row_keys.astype(np.uint64)
     buckets = ((keys * _HASH_A + sd) >> np.uint64(32)).astype(np.int64) % r
     mix = ((keys * _HASH_B + sd) >> np.uint64(29)).astype(np.int64)
@@ -777,16 +784,6 @@ def _sketch(ring: GradedHypersurface, e: int, m: int,
             buckets[rows] * (hi - lo) + (cols - lo), weights=vals,
             minlength=r * (hi - lo)).reshape(r, hi - lo)
     return np.remainder(S, p, out=S)
-
-
-def _sketch_seed(ring: GradedHypersurface, e: int, m: int) -> int:
-    # the trailing 0 is part of the hashed tuple: dropping it would change
-    # every sketch
-    basis = (ring.field.p, ring.v, ring.delta, e, m, 0)
-    h = 0xCBF29CE484222325
-    for x in basis:
-        h = ((h ^ x) * 0x100000001B3) % 2 ** 64
-    return h
 
 
 #: cells of the true block built per dense row chunk of a kernel check
@@ -840,8 +837,7 @@ def fedder_is_fsplit(ring: GradedHypersurface, e: int) -> bool:
     all exponents <= q-1."""
     if e < 1:
         raise ValidationError(f"level must be >= 1, got {e}")
-    W, _ = ring._gq_arrays(e)
-    return W.shape[0] > 0
+    return ring.level(e).W.shape[0] > 0
 
 
 def _first(pred, hi: int) -> int:
@@ -882,16 +878,17 @@ def m_threshold(ring: GradedHypersurface, e: int,
     Correctness rests on the monotonicity of "I_e(m) != 0" alone; that of
     the witnesses only makes the search fast.  Each scan and each rank
     builds its own basis and layout and drops them when it returns, so the
-    ring keeps nothing of the search but its ranks.  When a cap refuses the
-    rank at w - 1, galloping and bisection run on the ranks below w; a rank
-    refused after that ends the search in a linear scan from the last
-    degree known to be zero, so only a rank the answer needs can raise.
+    ring keeps of the search only its ranks and its level (_Level).  When a
+    cap refuses the rank at w - 1, galloping and bisection run on the ranks
+    below w; a rank refused after that ends the search in a linear scan
+    from the last degree known to be zero, so only a rank the answer needs
+    can raise.
     """
     if not fedder_is_fsplit(ring, e):
         raise ValidationError(f"not F-split at level e={e}")
-    q = ring.field.p ** e
-    scan_cap = (q - 1) * max(ring.fano_coindex, 1)
-    ring._term_masks(e)  # a refused mask table raises before any scan
+    level = ring.level(e)
+    scan_cap = (level.q - 1) * max(ring.fano_coindex, 1)
+    level.masks  # a refused mask table raises before any scan
     zero = 0  # the last degree known to be zero: I_e(0) = 0 by Fedder
 
     def nonzero(m: int) -> bool:
@@ -901,7 +898,8 @@ def m_threshold(ring: GradedHypersurface, e: int,
         zero = m  # the searches rank zeros in increasing order
         return False
 
-    w = _first(lambda m: _has_zero_column(ring, e, m), scan_cap + 1)
+    w = _first(lambda m: _has_zero_column(level, ring.restricted_basis(m)),
+               scan_cap + 1)
     first = w  # the least degree known to be nonzero, or w
     try:
         if w > 1 and nonzero(w - 1):
@@ -963,7 +961,7 @@ def profile(ring: GradedHypersurface, e: int,
             f"{ring.fano_coindex})")
     if not fedder_is_fsplit(ring, e):
         raise ValidationError(f"not F-split at level e={e}")
-    q = ring.field.p ** e
+    q = ring.level(e).q
     M = (q - 1) * ring.fano_coindex
     # beyond M_e there is no reduced target monomial, so the b-values
     # up to M_e are the whole profile and a_e is their sum
@@ -1044,7 +1042,7 @@ def membership_check(ring: GradedHypersurface, e: int,
     if f.homogeneous_degree is None:
         raise ValidationError("element must be homogeneous")
     q = ring.field.p ** e
-    prod = f.mul(ring.gq(e))
+    prod = f.mul(digit_power(ring.G, e))
     member = all(max(exps) >= q for exps in prod.terms)
     return MembershipResult(member, _reduce_mod_G(ring, f).is_zero())
 

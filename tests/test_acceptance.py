@@ -7,7 +7,8 @@ needs every b_2(m), m <= 72, from matrices with up to 234131 rows and up to
 which keeps every rank under the default work cap.  The blocks fall into 3
 symmetry orbits and one block per orbit is ranked, so the criterion takes
 about 35 s on two cores.  Criterion 10 is the slow oracle-equivalence sweep
-and is marked `deep` (the CLI runs it under `verify --deep`).
+and is marked `deep` (the CLI runs it under `verify --deep`).  One more
+test pins the level-3 profile that criterion 11 reports.
 """
 
 import io
@@ -19,6 +20,7 @@ from frobw.acceptance import (
     _Rings,
     run_acceptance,
 )
+from frobw.splitting import profile
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,16 @@ def test_criterion_11_free_rank_regression(rings):
     ok, detail = _BY_NUM[11](rings)
     assert ok, detail
     assert "15/124" in detail  # the known limit must be displayed alongside
+
+
+def test_cubic_surface_level_3(rings):
+    # level 3 of the p=5 cubic surface, which criterion 11 reports, on the
+    # shared ring, so its profile runs once.  These values come from the
+    # engine, not the oracle, which does not reach this level; the
+    # palindrome b(m) = b(M_3 - m) is their independent check
+    pr = profile(rings.get(5, 4, 3), 3)
+    assert (pr.m_e, pr.a_e) == (49, 236266)
+    assert pr.duality_ok
 
 
 def test_criterion_12_fedder_booleans(rings):

@@ -96,6 +96,58 @@ class TestGradedHypersurface:
                                PolynomialFp(F, 2, {(1, 1): 1}))
 
 
+class TestLevel:
+    """Every degree of a level reads one _Level per ring and level; its
+    term masks and key data are formed on first use."""
+
+    def test_powered_once_per_ring_and_level(self, monkeypatch):
+        # the Fedder test, a rank, a threshold and a profile at level 2
+        # share one power of G
+        ring = diagonal_hypersurface(3, 4, 2)
+        powered, power = [], splitting.digit_power
+
+        def counted(G, e):
+            powered.append(e)
+            return power(G, e)
+        monkeypatch.setattr(splitting, "digit_power", counted)
+        assert fedder_is_fsplit(ring, 2)
+        b = b_dimension(ring, 2, 3)
+        assert m_threshold(ring, 2) == 8
+        assert profile(ring, 2).b[3] == b
+        assert powered == [2]
+        assert ring.level(2) is ring.level(2)
+
+    def test_masks_and_keys_formed_on_first_use(self):
+        # the Fedder test forms neither; a threshold that a zero column
+        # settles forms the masks alone; a rank forms the key data
+        F = PrimeField(3)
+        lines = GradedHypersurface(F, ("x0", "x1", "x2"),
+                                   PolynomialFp(F, 3, {(1, 1, 0): 1}))
+        assert fedder_is_fsplit(lines, 1)
+        level = lines.level(1)
+        assert not {"masks", "keys"} & set(vars(level))
+        assert m_threshold(lines, 1) == 0
+        assert "masks" in vars(level) and "keys" not in vars(level)
+        assert b_dimension(lines, 1, 0) == 1
+        assert "keys" in vars(level)
+
+    def test_fedder_forms_no_masks(self, monkeypatch):
+        # G^(p-1) = (x0 x1)^(p-1) is one term, so the Fedder test is
+        # immediate; the threshold's mask table, 3 x p rows of one word,
+        # passes _TERM_MASK_BYTES and is refused before any basis is built
+        F = PrimeField(16777213)
+        ring = GradedHypersurface(F, ("x0", "x1", "x2"),
+                                  PolynomialFp(F, 3, {(1, 1, 0): 1}))
+        assert fedder_is_fsplit(ring, 1)
+        assert "masks" not in vars(ring.level(1))
+
+        def unscanned(*args):
+            raise AssertionError("a basis was built before the masks")
+        monkeypatch.setattr(GradedHypersurface, "restricted_basis", unscanned)
+        with pytest.raises(InstanceTooLarge, match="bytes of term masks"):
+            m_threshold(ring, 1)
+
+
 class TestBDimension:
     def test_quadric_profile_frozen(self, quadric_p3):
         assert [b_dimension(quadric_p3, 1, m) for m in range(5)] \
@@ -272,9 +324,9 @@ class TestBDimension:
         shapes = []
         sketch = splitting._sketch
 
-        def counted(ring, e, m, blk):
+        def counted(level, m, blk):
             shapes.append(blk.shape)
-            return sketch(ring, e, m, blk)
+            return sketch(level, m, blk)
         monkeypatch.setattr(splitting, "_sketch", counted)
         return shapes
 
@@ -312,6 +364,7 @@ class TestBDimension:
 
         def unbuilt(*args):
             raise AssertionError("Phi was built before the work cap check")
+        monkeypatch.setattr(splitting, "digit_power", unbuilt)
         monkeypatch.setattr(splitting, "_column_scan", unbuilt)
         monkeypatch.setattr(splitting, "_build_block", unbuilt)
         with pytest.raises(InstanceTooLarge, match=r"1 block\(s\), the "
@@ -372,7 +425,7 @@ class TestBDimension:
             def unbuilt(*args):
                 raise AssertionError("row keys formed past 2^63")
             monkeypatch.setattr(splitting, "_build_block", unbuilt)
-            monkeypatch.setattr(splitting, "_key_weights", unbuilt)
+            monkeypatch.setattr(splitting._Level, "keys", property(unbuilt))
             with pytest.raises(InstanceTooLarge, match=r"q\^63 >= 2\^63"):
                 b_dimension(ring, 1, 0)
             assert m_threshold(ring, 1) == 0  # a zero column at m = 1
@@ -449,8 +502,8 @@ def unique_numbered_block(ring, e, U) -> splitting._Block:
     it: every product u + w with no exponent past q - 1, column by column,
     rows in the order of their sorted keys."""
     q = ring.field.p ** e
-    W, cw = ring._gq_arrays(e)
-    W = W.astype(np.int64)
+    level = ring.level(e)
+    W, cw = level.W.astype(np.int64), level.cw
     jj, tt = [], []
     for j0 in range(0, U.shape[0], 64):
         j, t = np.nonzero(
@@ -492,13 +545,13 @@ class TestBuildBlock:
         # dead columns have degrees 3 and 5, and only the live column's
         # degree m = 2 sets the targets' degree
         U = np.array([[3, 0, 0, 0], [0, 1, 4, 0]], dtype=np.uint8)
-        blk = splitting._build_block(quadric_p3, 1, 2, U)
+        blk = splitting._build_block(quadric_p3.level(1), 2, U)
         assert blk.shape == (0, 0)
         for a in (blk.rows, blk.cols, blk.vals, blk.row_keys):
             assert a.size == 0
         # a live column between dead ones is numbered 0
         live = np.array([[1, 1, 0, 0]], dtype=np.uint8)
-        blk = splitting._build_block(quadric_p3, 1, 2,
+        blk = splitting._build_block(quadric_p3.level(1), 2,
                                      np.insert(U, 1, live, 0))
         assert blk.shape[1] == 1 and blk.rows.size > 0
         assert not blk.cols.any()
@@ -522,11 +575,11 @@ class TestBuildBlock:
                 continue
             U = layout.basis[layout.columns[k]]
             want = unique_numbered_block(ring, e, U)
-            blocks = [splitting._build_block(ring, e, m, U)]
+            blocks = [splitting._build_block(ring.level(e), m, U)]
             with monkeypatch.context() as small:
                 small.setattr(splitting, "_ENTRY_CELLS", 1000)
                 small.setattr(splitting, "_SCAN_WORDS", 1)
-                blocks.append(splitting._build_block(ring, e, m, U))
+                blocks.append(splitting._build_block(ring.level(e), m, U))
             for blk in blocks:
                 assert blk.shape == want.shape
                 for got, ref in zip(blk[1:], want[1:]):
@@ -537,13 +590,13 @@ class TestBuildBlock:
         # the sketch of the largest block of the p=5 quadric threefold at
         # e=2, m=24 is the same in chunks of 1000 entries as in one chunk
         ring = diagonal_hypersurface(5, 5, 2)
-        layout = splitting._layout(ring, 2, 24)
-        blk = splitting._build_block(ring, 2, 24,
+        layout, level = splitting._layout(ring, 2, 24), ring.level(2)
+        blk = splitting._build_block(level, 24,
                                      layout.basis[layout.columns[0]])
         monkeypatch.setattr(splitting, "_SKETCH_ENTRIES", blk.vals.size)
-        whole = splitting._sketch(ring, 2, 24, blk)
+        whole = splitting._sketch(level, 24, blk)
         monkeypatch.setattr(splitting, "_SKETCH_ENTRIES", 1000)
-        assert np.array_equal(splitting._sketch(ring, 2, 24, blk), whole)
+        assert np.array_equal(splitting._sketch(level, 24, blk), whole)
 
     def test_block_and_sketch_memory_is_bounded(self):
         # building and sketching the largest block of the p=5 quadric
@@ -554,11 +607,12 @@ class TestBuildBlock:
         layout = splitting._layout(ring, 2, 24)
         U = layout.basis[layout.columns[0]]
         assert layout.shapes[0] == max(layout.shapes)
-        ring._term_masks(2)  # the level's tables are not the block's
+        level = ring.level(2)
+        level.masks, level.keys  # the level's tables are not the block's
         tracemalloc.start()
         try:
-            blk = splitting._build_block(ring, 2, 24, U)
-            splitting._sketch(ring, 2, 24, blk)
+            blk = splitting._build_block(level, 24, U)
+            splitting._sketch(level, 24, blk)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
