@@ -46,9 +46,14 @@ certifies the exact rank.  A block whose sketch fails its check is
 eliminated exactly, or refused (InstanceTooLarge) when it passes
 DENSE_CELLS, so every returned value is certified.
 A block's width alone picks its engine: blocks with at most 128 nonzero
-columns are eliminated together, one vectorized step per column
-(kernel_fp_batched); wider blocks go one at a time through the BLAS-blocked
-engine (rank_fp_dense, kernel_fp_dense).
+columns are eliminated together, one vectorized step per column of the
+widest (kernel_fp_batched); wider blocks go one at a time through the
+BLAS-blocked engine (rank_fp_dense, kernel_fp_dense).  A profile hands the
+blocks of every degree of its level to one _certify call, which takes them
+widest first, so that each batch holds blocks of similar width from many
+degrees; a batch is ranked once its zero-padded stack (blocks x widest x
+tallest) plus the nonzeros it holds for kernel checks pass _BATCH_CELLS, so
+one batch is pending at a time.
 
 Every degree of a level reads one _Level, built once per ring and level.
 """
@@ -68,6 +73,8 @@ from .errors import InstanceTooLarge, InternalCheckError, ValidationError
 from .ffkernel import (
     PolynomialFp,
     PrimeField,
+    _batch_dtype,
+    _dtype_for,
     digit_power,
     exponent_array,
     kernel_fp_batched,
@@ -92,8 +99,9 @@ _TALL = 2
 #: blocks with at most this many nonzero columns are ranked in one batch
 _BATCH_COLS = 128
 
-#: stack cells plus held nonzeros at which a batch is ranked and released
-_BATCH_CELLS = 1 << 20
+#: padded stack cells (blocks x widest x tallest) plus held nonzeros at
+#: which a batch is ranked and released
+_BATCH_CELLS = 1 << 17
 
 #: rows of a sketch beyond its column count
 _SPARE = 64
@@ -132,7 +140,6 @@ class GradedHypersurface:
         self._w0 = np.array(exps[0], dtype=np.int64)
         self._lattice = _grading_lattice(exps)
         self._levels: dict[int, _Level] = {}
-        self._layout_cache: dict[tuple[int, int], _Layout] = {}
         self._b_cache: dict[tuple[int, int], int] = {}
 
     @functools.cached_property
@@ -480,10 +487,14 @@ class _Level:
                 f"G^(q-1) at q={self.q} needs more than "
                 f"{_TERM_MASK_BYTES} bytes of term masks")
         masks = np.zeros((self.v, self.q, nbytes), dtype=np.uint8)
+        # rows in chunks of at most _ENTRY_CELLS unpacked cells
+        step = max(1, _ENTRY_CELLS // max(1, self.W.shape[0]))
         for i in range(self.v):
-            for c in range(self.q):
-                bits = np.packbits(self.W[:, i] <= c, bitorder="little")
-                masks[i, c, :bits.size] = bits
+            for c in range(0, self.q, step):
+                bound = np.arange(c, min(c + step, self.q))[:, None]
+                bits = np.packbits(self.W[:, i] <= bound, axis=1,
+                                   bitorder="little")
+                masks[i, c:c + step, :bits.shape[1]] = bits
         return masks.view(np.uint64)
 
     @functools.cached_property
@@ -618,10 +629,9 @@ def _estimate_flops(rows: int, cols: int) -> float:
 def _check_caps(ring: GradedHypersurface, e: int, m: int,
                 work_cap: float | None) -> _Layout:
     """The layout of Phi_{e,m}, refused before any block is built when its
-    side, its row keys or its work estimate passes a cap.  The layout is
-    taken off ring._layout_cache, where only profile leaves layouts, or
-    built anew; the estimate always runs again.  Nothing is evicted by hand:
-    a refused layout goes with this call, a returned one with its caller."""
+    side, its row keys or its work estimate passes a cap.  Nothing is
+    evicted by hand: a refused layout goes with this call, a returned one
+    with its caller."""
     q = ring.field.p ** e
     cols = ring.dim_R(m)
     rows = n_monomials_capped(ring.v, m + ring.delta * (q - 1), q - 1)
@@ -634,7 +644,7 @@ def _check_caps(ring: GradedHypersurface, e: int, m: int,
             f"instance too large at m={m}: row keys of {ring.v} exponents "
             f"below q={q} reach q^{ring.v} >= 2^63")
     cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
-    layout = ring._layout_cache.pop((e, m), None) or _layout(ring, e, m)
+    layout = _layout(ring, e, m)
     shapes = layout.shapes
     ranked = [s for s, w in zip(shapes, layout.weights) if w]
     est = sum(_estimate_flops(r, c) for r, c in ranked)
@@ -663,54 +673,66 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
     if key in ring._b_cache:
         return ring._b_cache[key]
     layout = _check_caps(ring, e, m, work_cap)
-    b = _certify(ring.level(e), m, layout)
+    b = _certify(ring.level(e), [(m, layout)])[m]
     ring._b_cache[key] = b
     return b
 
 
-def _certify(level: _Level, m: int, layout: _Layout) -> int:
-    """Sum of the certified ranks of the ranked blocks of Phi_{e,m}, each
-    counted its layout weight times.
+def _certify(level: _Level, layouts: list[tuple[int, _Layout]]
+             ) -> dict[int, int]:
+    """For each (m, layout of Phi_{e,m}), the sum of the certified ranks of
+    the ranked blocks, each counted its layout weight times.
 
-    A block is sketched when its counted shape is _sketched and its built
-    block has more than ncols + _SPARE nonzero rows; otherwise it is
-    eliminated exactly.  The block's nonzero columns pick the engine: at
-    most _BATCH_COLS go to kernel_fp_batched, flushed at _BATCH_CELLS stack
-    cells plus held nonzeros; wider blocks go one at a time to rank_fp_dense
-    (exact) or kernel_fp_dense (sketch).  A full-rank sketch is a proof, and
-    so is a sketch kernel that kills the true block; a block whose sketch
-    fails its check is eliminated exactly by rank_fp_dense, or refused
-    (InstanceTooLarge) when it passes DENSE_CELLS.
+    The ranked blocks of all the degrees are planned before any is built:
+    widest counted shape first, so that the blocks of one batch have
+    similar widths.  Each is built just before its engine call or just
+    before it joins the one pending batch.  A block is sketched when its
+    counted shape is _sketched and its built block has more than ncols +
+    _SPARE nonzero rows; otherwise it is eliminated exactly.  The block's
+    nonzero columns pick the engine: at most _BATCH_COLS go to
+    kernel_fp_batched, ranked once the zero-padded stack (blocks x widest x
+    tallest) plus the held nonzeros pass _BATCH_CELLS; wider blocks go one
+    at a time to rank_fp_dense (exact) or kernel_fp_dense (sketch).  Pivots
+    and reductions are per matrix, so a block's rank and kernel do not
+    depend on its batch.  A full-rank sketch is a proof, and so is a sketch
+    kernel that kills the true block; a block whose sketch fails its check
+    is eliminated exactly by rank_fp_dense, or refused (InstanceTooLarge)
+    when it passes DENSE_CELLS.
     """
     p = level.p
-    queue, cells = [], 0
+    total = {m: 0 for m, _ in layouts}
+    plan = sorted(((m, layout.basis, shape, idx, w) for m, layout in layouts
+                   for shape, idx, w in zip(layout.shapes, layout.columns,
+                                            layout.weights)
+                   if w and shape[0] and shape[1]),
+                  key=lambda block: -block[2][1])
+    queue, held, widest, tallest = [], 0, 0, 0
 
-    def settle(w, rank, K, true) -> int:
-        """w times the certified rank; true holds the entries of the block
-        that a sketch compresses, None for a block eliminated exactly."""
-        if true is None or rank == K.shape[0] or _kernel_verifies(true, K, p):
-            return w * rank
-        nrows, ncols = true.shape
-        if nrows * ncols > DENSE_CELLS:
-            raise InstanceTooLarge(
-                f"instance too large at m={m}: the sketch of a {nrows} x "
-                f"{ncols} block failed its kernel check, and eliminating the "
-                f"block exactly passes the dense cap of {DENSE_CELLS} cells")
-        return w * rank_fp_dense(_dense(true, tall=False), p)
+    def settle(m, w, rank, K, true) -> None:
+        """Count w times the certified rank at m; true holds the entries of
+        the block that a sketch compresses, None for a block eliminated
+        exactly."""
+        if not (true is None or rank == K.shape[0]
+                or _kernel_verifies(true, K, p)):
+            nrows, ncols = true.shape
+            if nrows * ncols > DENSE_CELLS:
+                raise InstanceTooLarge(
+                    f"instance too large at m={m}: the sketch of a {nrows} x "
+                    f"{ncols} block failed its kernel check, and eliminating "
+                    f"the block exactly passes the dense cap of {DENSE_CELLS} "
+                    f"cells")
+            rank = rank_fp_dense(_dense(true, tall=False), p)
+        total[m] += w * rank
 
-    def flush() -> int:
+    def flush() -> None:
         if not queue:  # the batched engine refuses large primes up front
-            return 0
-        ranks = kernel_fp_batched([A for _, A, _ in queue], p)
-        return sum(settle(w, *rK, true)
-                   for (w, _, true), rK in zip(queue, ranks))
+            return
+        ranks = kernel_fp_batched([A for _, _, A, _ in queue], p)
+        for (m, w, _, true), rK in zip(queue, ranks):
+            settle(m, w, *rK, true)
 
-    total = 0
-    for (rows, cols), idx, w in zip(layout.shapes, layout.columns,
-                                    layout.weights):
-        if not w or rows == 0 or cols == 0:
-            continue
-        blk = _build_block(level, m, layout.basis[idx])
+    for m, basis, (rows, cols), idx, w in plan:
+        blk = _build_block(level, m, basis[idx])
         nrows, ncols = blk.shape
         if nrows > rows or idx.size != cols:
             raise InternalCheckError(
@@ -724,24 +746,24 @@ def _certify(level: _Level, m: int, layout: _Layout) -> int:
         # a wide block's matrix lives only as long as its engine call
         if ncols > _BATCH_COLS:
             if sketch:
-                total += settle(w, *kernel_fp_dense(
-                    _sketch(level, m, blk), p), blk)
+                settle(m, w, *kernel_fp_dense(_sketch(level, m, blk), p), blk)
             else:
-                total += w * rank_fp_dense(_dense(blk, tall=False), p)
+                total[m] += w * rank_fp_dense(_dense(blk, tall=False), p)
             continue
         if sketch:
             A = _sketch(level, m, blk)
             # the check needs the entries, not the row keys
-            queue.append((w, A, blk._replace(row_keys=None)))
-            cells += blk.vals.size
+            queue.append((m, w, A, blk._replace(row_keys=None)))
+            held += blk.vals.size
         else:
             A = _dense(blk, tall=True)
-            queue.append((w, A, None))
-        cells += A.size
-        if cells > _BATCH_CELLS:
-            total += flush()
-            queue, cells = [], 0
-    return total + flush()
+            queue.append((m, w, A, None))
+        widest, tallest = max(widest, A.shape[1]), max(tallest, A.shape[0])
+        if len(queue) * widest * tallest + held > _BATCH_CELLS:
+            flush()
+            queue, held, widest, tallest = [], 0, 0, 0
+    flush()
+    return total
 
 
 def _dense(blk: _Block, tall: bool) -> np.ndarray:
@@ -758,12 +780,15 @@ def _sketch(level: _Level, m: int, blk: _Block) -> np.ndarray:
     """Row compression of a block of Phi_{e,m}: every row is hashed to one
     of ncols + _SPARE buckets with a nonzero key-dependent coefficient.
     Deterministic in (block, e, m).  The entries are accumulated in chunks
-    of _SKETCH_ENTRIES, each into the columns it spans; every partial sum is
-    an integer below p times the entry count, exact in float64, so the
-    chunking leaves S unchanged."""
+    of _SKETCH_ENTRIES, each into the columns it spans, and reduced mod p
+    there; every partial sum is an integer below p times the entry count
+    plus p, exact in float64, so the chunking leaves S unchanged.  S is
+    built in the dtype of the engine that ranks it (see _certify), which
+    holds its residues exactly, so the engine need not copy it."""
     p = level.p
     ncols = blk.shape[1]
     r = ncols + _SPARE
+    dtype = (_dtype_for(p) if ncols > _BATCH_COLS else _batch_dtype(p))[0]
     # the seed hashes (p, v, delta, e, m, 0); the trailing 0 is part of the
     # hashed tuple: dropping it would change every sketch
     h = 0xCBF29CE484222325
@@ -774,16 +799,18 @@ def _sketch(level: _Level, m: int, blk: _Block) -> np.ndarray:
     buckets = ((keys * _HASH_A + sd) >> np.uint64(32)).astype(np.int64) % r
     mix = ((keys * _HASH_B + sd) >> np.uint64(29)).astype(np.int64)
     coeffs = 1 + mix % (p - 1) if p > 2 else np.ones_like(mix)
-    S = np.zeros((r, ncols))
+    S = np.zeros((r, ncols), dtype=dtype)
     for t in range(0, blk.vals.size, _SKETCH_ENTRIES):
         rows = blk.rows[t:t + _SKETCH_ENTRIES]
         cols = blk.cols[t:t + _SKETCH_ENTRIES]
         lo, hi = int(cols.min()), int(cols.max()) + 1
         vals = blk.vals[t:t + _SKETCH_ENTRIES] * coeffs[rows] % p
-        S[:, lo:hi] += np.bincount(
+        part = np.bincount(
             buckets[rows] * (hi - lo) + (cols - lo), weights=vals,
             minlength=r * (hi - lo)).reshape(r, hi - lo)
-    return np.remainder(S, p, out=S)
+        part += S[:, lo:hi]
+        S[:, lo:hi] = np.remainder(part, p, out=part)
+    return S
 
 
 #: cells of the true block built per dense row chunk of a kernel check
@@ -949,12 +976,12 @@ def profile(ring: GradedHypersurface, e: int,
             threads: int = 1) -> SplittingProfile:
     """Assemble the full level-e profile with its self-checks.
 
-    Every unranked degree passes _check_caps before any rank, so a refusal
-    leaves the ring as it was; the checked layouts then wait on
-    ring._layout_cache until each rank takes its own off, so none is laid
-    out twice and none is evicted by hand.  The degrees
-    0..M_e are ranked in order on the calling thread (BLAS may use its own
-    threads); threads is accepted and has no effect."""
+    Every unranked degree passes _check_caps once before any rank, so a
+    refusal leaves the ring as it was; the checked layouts then go to one
+    _certify call, which ranks the blocks of the whole level together on
+    the calling thread (BLAS may use its own threads), and the ranks join
+    the ring's cache, from which b_dimension reads each degree.  threads is
+    accepted and has no effect."""
     if ring.fano_coindex <= 0:
         raise ValidationError(
             f"non-Fano: profile needs v > delta (v-delta = "
@@ -970,9 +997,10 @@ def profile(ring: GradedHypersurface, e: int,
     if tail_rows != 0:
         raise InternalCheckError(
             f"tail not zero: {tail_rows} reduced targets at m={M + 1}")
-    ring._layout_cache.update({(e, m): _check_caps(ring, e, m, work_cap)
-                               for m in range(M + 1)
-                               if (e, m) not in ring._b_cache})
+    ranks = _certify(ring.level(e), [(m, _check_caps(ring, e, m, work_cap))
+                                     for m in range(M + 1)
+                                     if (e, m) not in ring._b_cache])
+    ring._b_cache.update(((e, m), b) for m, b in ranks.items())
     b = [b_dimension(ring, e, m, work_cap=work_cap) for m in range(M + 1)]
     dims = [ring.dim_R(m) for m in range(M + 1)]
     # scan monotonicity: I_e(m) != 0 implies I_e(m+1) != 0

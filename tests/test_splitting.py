@@ -1,6 +1,8 @@
 """Tests for the graded splitting-subspace engine."""
 
+import hashlib
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +148,27 @@ class TestLevel:
         monkeypatch.setattr(GradedHypersurface, "restricted_basis", unscanned)
         with pytest.raises(InstanceTooLarge, match="bytes of term masks"):
             m_threshold(ring, 1)
+
+    @pytest.mark.parametrize("ring,e", [
+        pytest.param(lambda: diagonal_hypersurface(5, 4, 2), 2, id="Q2-p5-e2"),
+        pytest.param(lambda: diagonal_hypersurface(5, 4, 3), 2,
+                     id="cubic-p5-e2"),
+        pytest.param(lambda: f_split_cubic(), 3, id="cubic-p3-e3")])
+    @pytest.mark.parametrize("cells", [None, 100, 2000])
+    def test_masks_match_one_row_at_a_time(self, ring, e, cells,
+                                           monkeypatch):
+        # the mask table, packed in chunks of rows (also of a few rows and
+        # a last short chunk), is bit-identical to one packbits per row
+        if cells is not None:
+            monkeypatch.setattr(splitting, "_ENTRY_CELLS", cells)
+        level = ring().level(e)
+        masks = level.masks.view(np.uint8)
+        assert masks.shape[:2] == (level.v, level.q)
+        for i in range(level.v):
+            for c in range(level.q):
+                bits = np.packbits(level.W[:, i] <= c, bitorder="little")
+                assert np.array_equal(masks[i, c, :bits.size], bits)
+                assert not masks[i, c, bits.size:].any()
 
 
 class TestBDimension:
@@ -404,11 +427,11 @@ class TestBDimension:
         monkeypatch.setattr(GradedHypersurface, "restricted_basis", counted)
         monkeypatch.setattr(splitting, "_layout", counted_layout)
         pr = profile(ring, 2)
-        # the rank takes the layout the pre-check laid out
+        # the ranks take the layouts the cap checks laid out
         assert sorted(degrees) == list(range(pr.M_e + 1))
         assert sorted(laid_out) == list(range(pr.M_e + 1))
-        # each layout is dropped with its rank
-        assert not ring._layout_cache
+        # the ring keeps the ranks, not the layouts
+        assert sorted(ring._b_cache) == [(2, m) for m in range(pr.M_e + 1)]
 
     def test_row_keys_past_int64_refused(self, monkeypatch):
         # a row key sums u_i q^i over the v exponents of a target, so it
@@ -597,6 +620,10 @@ class TestBuildBlock:
         whole = splitting._sketch(level, 24, blk)
         monkeypatch.setattr(splitting, "_SKETCH_ENTRIES", 1000)
         assert np.array_equal(splitting._sketch(level, 24, blk), whole)
+        # built in the dtype of kernel_fp_dense, which then copies nothing
+        assert blk.shape[1] > splitting._BATCH_COLS
+        assert whole.dtype == np.float32
+        assert np.array_equal(np.remainder(whole, 5), whole)
 
     def test_block_and_sketch_memory_is_bounded(self):
         # building and sketching the largest block of the p=5 quadric
@@ -800,13 +827,15 @@ class TestThresholds:
         # m_threshold: the first zero column is at 25; the ranks at 24, at
         # 16 (galloping) and at 14 (scanning linearly from 9) are refused by
         # the work cap after their layouts are counted; profile: the
-        # pre-check refuses 14 after counting degrees 0..13
-        for run in (m_threshold, profile):
+        # pre-check refuses 14 after counting degrees 0..13, before any
+        # rank, so it leaves no rank behind
+        for run, ranked in ((m_threshold, {1, 2, 4, 8, 9, 10, 11, 12, 13}),
+                            (profile, set())):
             ring = diagonal_hypersurface(5, 5, 2)
             with pytest.raises(InstanceTooLarge,
                                match="at m=14: .* work cap"):
                 run(ring, 2, work_cap=1e6)
-            assert not ring._layout_cache
+            assert {m for _, m in ring._b_cache} == ranked
 
     def test_refused_rank_gallops_then_scans(self, monkeypatch):
         # the rank at w - 1 = 24 is refused, so the search gallops over the
@@ -940,13 +969,82 @@ class TestProfile:
         assert pr.duality_ok
         assert pr.monotone_ok is None
 
-    def test_cached_ranks_keep_no_layout(self):
-        # the threshold caches the rank at m_1 = 2; the profile's pre-check
-        # skips it, so every layout it counts is dropped by its rank
+    def test_cached_ranks_are_not_checked_again(self, monkeypatch):
+        # the threshold caches the rank at m_1 = 2; a refused profile adds
+        # no rank to it, and the profile's cap checks skip it
         ring = diagonal_hypersurface(3, 4, 2)
         m_threshold(ring, 1)
-        profile(ring, 1)
-        assert not ring._layout_cache
+        assert set(ring._b_cache) == {(1, 2)}
+        with pytest.raises(InstanceTooLarge, match="work cap"):
+            profile(ring, 1, work_cap=0.0)
+        assert set(ring._b_cache) == {(1, 2)}
+        checked = TestThresholds.spy_caps(monkeypatch)
+        assert profile(ring, 1).b == FROZEN["quadric_p3_e1_b"]
+        assert checked == [0, 1, 3, 4]
+
+    @pytest.mark.parametrize("ring,e,failing", [
+        pytest.param(lambda: diagonal_hypersurface(5, 4, 2), 2, 0,
+                     id="Q2-p5-e2"),
+        pytest.param(lambda: diagonal_hypersurface(101, 3, 2), 1, 0,
+                     id="conic-p101"),
+        # these two hold two real failing sketches each (m = 13 among the
+        # cubic's; m = 20 and 26), so the exact fallback runs among the
+        # blocks of a whole level
+        pytest.param(f_split_cubic, 3, 2, id="cubic-p3-e3"),
+        pytest.param(ungraded_quadric, 3, 2, id="ungraded-e3")])
+    def test_level_batches_match_degrees(self, ring, e, failing,
+                                         monkeypatch):
+        # a profile ranks the blocks of every degree in shared batches; its
+        # b-values, and every engine call's (rank, K) and check verdict,
+        # are those of one b_dimension per degree on a fresh ring
+        def digest(A):
+            A = np.ascontiguousarray(A)
+            return hashlib.sha1(str((A.dtype, A.shape)).encode()
+                                + A.tobytes()).hexdigest()
+
+        calls = Counter()
+        batched = splitting.kernel_fp_batched
+
+        def spied_batched(mats, p):
+            keys = [digest(A) for A in mats]
+            out = batched(mats, p)
+            calls.update((k, r, digest(K)) for k, (r, K) in zip(keys, out))
+            return out
+        monkeypatch.setattr(splitting, "kernel_fp_batched", spied_batched)
+        for name in ("kernel_fp_dense", "rank_fp_dense", "_kernel_verifies"):
+            def spied(*args, name=name, engine=getattr(splitting, name)):
+                key = digest(args[1] if name == "_kernel_verifies"
+                             else args[0])
+                out = engine(*args)
+                calls[name, key, out if isinstance(out, (bool, int))
+                      else (out[0], digest(out[1]))] += 1
+                return out
+            monkeypatch.setattr(splitting, name, spied)
+        pr = profile(ring(), e)
+        by_level, calls = calls, Counter()
+        fresh = ring()
+        assert pr.b == [b_dimension(fresh, e, m) for m in range(pr.M_e + 1)]
+        assert by_level == calls
+        assert len(calls) > pr.M_e
+        assert sum(n for key, n in calls.items()
+                   if key[0] == "_kernel_verifies" and key[2] is False) \
+            == failing
+
+    def test_level_batches_in_bounded_memory(self):
+        # the whole level of the p=5 quadric surface at e=2 holds one
+        # pending batch at a time: about 3.3 MiB of traced peak, against
+        # 2.4 MiB when each degree was batched on its own
+        ring = diagonal_hypersurface(5, 4, 2)
+        level = ring.level(2)
+        level.masks, level.keys  # the level's tables are not the batches'
+        tracemalloc.start()
+        try:
+            pr = profile(ring, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pr.a_e == 10425
+        assert peak < 5 * 2 ** 20
 
     def test_chained_monotonicity_flag(self, cubic_p5):
         pr1 = profile(cubic_p5, 1)
