@@ -326,6 +326,16 @@ def _check_term_bound(bound: int, n: int, term_cap: int) -> None:
             f"cap {term_cap}")
 
 
+def level_q(p: int, e: int) -> int:
+    """q = p^e for a level e >= 1, refused when q >= 2^63; e >= 63 is
+    tested first, so that no big integer is formed for a huge e."""
+    if e < 1:
+        raise ValidationError(f"level must be >= 1, got {e}")
+    if e >= 63 or p ** e >= 2 ** 63:
+        raise InstanceTooLarge(f"level too large: q = {p}^{e} >= 2^63")
+    return p ** e
+
+
 def digit_power(G: PolynomialFp, e: int,
                 term_cap: int = DEFAULT_POWER_TERM_CAP) -> PolynomialFp:
     """G^(p^e - 1) via the Frobenius-digit factorization
@@ -335,16 +345,15 @@ def digit_power(G: PolynomialFp, e: int,
     prime-field coefficients.  The partial products are G^(p^k - 1) for
     k <= e, so their term counts are bounded by both the bound for
     G^(p^e - 1) and the e-th power of the bound for G^(p-1); the smaller one
-    is checked against term_cap before any product.
+    is checked against term_cap before any product, and p^e >= 2^63 before
+    either bound is formed (level_q).
     """
     if G.is_zero():
         raise ValidationError("digit_power of the zero polynomial")
-    if e < 1:
-        raise ValidationError(f"level must be >= 1, got {e}")
     p = G.field.p
+    q = level_q(p, e)
     _check_term_bound(min(power_term_bound(G, p - 1) ** e,
-                          power_term_bound(G, p ** e - 1)),
-                      p ** e - 1, term_cap)
+                          power_term_bound(G, q - 1)), q - 1, term_cap)
     base = G.pow(p - 1, term_cap=term_cap)
     result = base
     for i in range(1, e):

@@ -32,7 +32,7 @@ from typing import Sequence, TextIO
 from . import __version__
 from .errors import (FrobwError, InternalCheckError, ParseError,
                      ValidationError)
-from .ffkernel import PolynomialFp, PrimeField
+from .ffkernel import PolynomialFp, PrimeField, level_q
 from .splitting import (FanoReport, GradedHypersurface, SplittingProfile,
                         fano_report, membership_check, profile)
 from .toric import FanData, ToricAlphaReport, toric_alpha
@@ -316,18 +316,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_levels(spec: str) -> list[int]:
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", spec)
-    if m:
-        a, b = int(m.group(1)), int(m.group(2))
-    elif re.fullmatch(r"\d+", spec):
-        a = b = int(spec)
-    else:
+def _parse_levels(spec: str) -> range:
+    """The levels of --e, b or a..b, as a range: a huge b costs nothing."""
+    m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", spec)
+    if not m:
         raise UsageError(f"--e expects an integer or a..b range, got "
                          f"{spec!r}")
+    a, b = int(m[1]), int(m[2] or m[1])
     if a < 1 or b < a:
         raise UsageError(f"bad level range {spec!r}")
-    return list(range(a, b + 1))
+    return range(a, b + 1)
 
 
 def _positive_int(text: str) -> int:
@@ -438,9 +436,10 @@ def _cmd_split(args, stream: TextIO) -> int:
     t0 = time.monotonic()
     ring, text = _build_ring(args)
     levels = _parse_levels(args.e)
+    level_q(ring.field.p, levels[-1])  # refused before level 1 is ranked
     profiles: list[SplittingProfile] = []
     prev = None
-    for e in range(1, max(levels) + 1):
+    for e in range(1, levels[-1] + 1):
         prev = profile(ring, e, prev=prev)
         if e in levels:
             profiles.append(prev)

@@ -37,13 +37,13 @@ b(m) = b(M_e - m) is never used.
 
 One loop certifies every ranked block (_certify).  A block at most twice as
 tall as wide that fits DENSE_CELLS is eliminated exactly.  A taller or
-larger block is compressed by a seeded row hash into a sketch with _SPARE
-rows more than columns, unless the built block, without its zero rows, is
-no taller than that sketch.  Sketch rank = column count is a proof of full
-column rank; otherwise the sketch's kernel basis is verified against the
-true block, built from its nonzero entries in dense row chunks, which
-certifies the exact rank.  A block whose sketch fails its check is
-eliminated exactly, or refused (InstanceTooLarge) when it passes
+larger block is compressed by a seeded hash of its rows' colex ranks into a
+sketch with _SPARE rows more than columns, unless the built block, without
+its zero rows, is no taller than that sketch.  Sketch rank = column count
+is a proof of full column rank; otherwise the sketch's kernel basis is
+verified against the true block, built from its nonzero entries in dense
+row chunks, which certifies the exact rank.  A block whose sketch fails its
+check is eliminated exactly, or refused (InstanceTooLarge) when it passes
 DENSE_CELLS, so every returned value is certified.
 A block's width alone picks its engine: blocks with at most 128 nonzero
 columns are eliminated together, one vectorized step per column of the
@@ -79,6 +79,7 @@ from .ffkernel import (
     exponent_array,
     kernel_fp_batched,
     kernel_fp_dense,
+    level_q,
     n_monomials,
     n_monomials_capped,
     rank_fp_dense,
@@ -120,6 +121,8 @@ class GradedHypersurface:
                  G: PolynomialFp):
         if G.field != field:
             raise ValidationError("G is not defined over the given field")
+        if any(a >= 2 ** 63 for exps in G.terms for a in exps):
+            raise InstanceTooLarge("exponent too large: >= 2^63 in G")
         if G.is_zero():
             raise ValidationError("G must be nonzero")
         delta = G.homogeneous_degree
@@ -458,7 +461,7 @@ class _Level:
     monomial can keep, sorted, as an exponent matrix W (T x v, in the
     smallest unsigned dtype that holds q - 1) and a coefficient vector cw
     (in the smallest unsigned dtype that holds p - 1).  The term masks and
-    the key data are formed on first use, so fedder_is_fsplit forms
+    the prefix sums aw are formed on first use, so fedder_is_fsplit forms
     neither, and a degree that _check_caps refuses never reaches the level."""
 
     def __init__(self, ring: GradedHypersurface, e: int):
@@ -466,7 +469,7 @@ class _Level:
         self.v = ring.v
         self.delta = ring.delta
         self.e = e
-        self.q = q = p ** e
+        self.q = q = level_q(p, e)
         items = sorted((exps, c) for exps, c
                        in digit_power(ring.G, e).terms.items()
                        if max(exps) < q)
@@ -498,14 +501,10 @@ class _Level:
         return masks.view(np.uint64)
 
     @functools.cached_property
-    def keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(kw, wkeys, aw): base-q weights, under which reduced exponent
-        vectors encode as keys below q^v in colex order; the keys W @ kw of
-        the terms; their a_i, aw[i - 1, t] = W[t, 0] + ... + W[t, i - 1].
-        Formed only once _check_caps has refused q^v >= 2^63."""
-        kw = (self.q ** np.arange(self.v)).astype(np.int64)
-        aw = np.cumsum(self.W[:, :-1], axis=1, dtype=np.intp).T
-        return kw, self.W @ kw, aw
+    def aw(self) -> np.ndarray:
+        """The a_i of the terms: aw[i - 1, t] = W[t, 0] + ... + W[t, i - 1]
+        for 1 <= i < v."""
+        return np.cumsum(self.W[:, :-1], axis=1, dtype=np.intp).T
 
 
 def _column_scan(level: _Level, U: np.ndarray):
@@ -536,16 +535,16 @@ def _has_zero_column(level: _Level, basis: np.ndarray) -> bool:
 class _Block(NamedTuple):
     """The nonzero entries of one block of Phi, without its zero rows and
     zero columns: entry t sits at (rows[t], cols[t]) and has value vals[t];
-    row_keys[i] encodes the target monomial of row i as its base-q number,
-    whose order is the colex order of the rows.  Entries come column by
-    column; rows and cols in the smallest unsigned dtype that holds the row
-    and the column count, vals in the one that holds p - 1."""
+    row i is the target of colex rank row_ranks[i] among the degree's
+    targets, increasing in i.  Entries come column by column; rows and cols
+    in the smallest unsigned dtype that holds the row and the column count,
+    vals in the one that holds p - 1."""
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    row_keys: np.ndarray
+    row_ranks: np.ndarray
 
 
 def _build_block(level: _Level, m: int, U: np.ndarray) -> _Block:
@@ -558,19 +557,16 @@ def _build_block(level: _Level, m: int, U: np.ndarray) -> _Block:
     (numbered by runs, since the columns come in order), its value, and the
     colex rank of its target among the degree-D monomials with every
     exponent <= q - 1, D = m + delta * (q - 1).  A hit mask over the ranks
-    numbers the rows in colex order, which is the order of the row keys,
-    and a scatter of the entries' keys by rank gives the row keys."""
-    q, v, W, cw = level.q, level.v, level.W, level.cw
-    kw, wkeys, aw = level.keys
+    numbers the rows in colex order, and its hits are the row ranks."""
+    q, v, W, cw, aw = level.q, level.v, level.W, level.cw, level.aw
     D = m + level.delta * (q - 1)
     P, R = _colex_tables(v, D, q - 1)
     count = n_monomials_capped(v, D, q - 1)
-    # a_i of a target is a_i of its column plus a_i of its term, and so is
-    # its key; row i - 1 of au is offset into row i - 1 of R.flat
+    # a_i of a target is a_i of its column plus a_i of its term; row i - 1
+    # of au is offset into row i - 1 of R.flat
     au = np.cumsum(U[:, :-1], axis=1, dtype=np.intp).T \
         + np.arange(0, R.size, D + 1)[:, None]
     hit = np.zeros(count, dtype=bool)
-    keys = np.empty(count, dtype=np.int64)
     rank_type = np.min_scalar_type(max(count - 1, 0))
     col_type = np.min_scalar_type(U.shape[0])
     ranks, cols, vals = [], [], []
@@ -588,14 +584,13 @@ def _build_block(level: _Level, m: int, U: np.ndarray) -> _Block:
             r = R.take(idx).sum(axis=0)
             r += P[v - 1, D] - 1
             hit[r] = True
-            keys[r] = (U[c + j0] @ kw).take(j) + wkeys.take(t)
             ranks.append(r.astype(rank_type))
             cols.append((j + (ncols + s)).astype(col_type))
             vals.append(cw[t])
         ncols += live.size
     if not ncols:  # every column is dead
         return _Block((0, 0), np.zeros(0, np.uint8), np.zeros(0, np.uint8),
-                      cw[:0], np.zeros(0, np.int64))
+                      cw[:0], np.zeros(0, np.intp))
     targets = np.flatnonzero(hit)
     nrows = targets.size
     lookup = np.empty(count, dtype=np.min_scalar_type(nrows))
@@ -609,7 +604,7 @@ def _build_block(level: _Level, m: int, U: np.ndarray) -> _Block:
     return _Block((nrows, ncols), rows,
                   np.concatenate(cols).astype(np.min_scalar_type(ncols),
                                               copy=False),
-                  np.concatenate(vals), keys[targets])
+                  np.concatenate(vals), targets)
 
 
 def _sketched(rows: int, cols: int) -> bool:
@@ -629,10 +624,10 @@ def _estimate_flops(rows: int, cols: int) -> float:
 def _check_caps(ring: GradedHypersurface, e: int, m: int,
                 work_cap: float | None) -> _Layout:
     """The layout of Phi_{e,m}, refused before any block is built when its
-    side, its row keys or its work estimate passes a cap.  Nothing is
-    evicted by hand: a refused layout goes with this call, a returned one
-    with its caller."""
-    q = ring.field.p ** e
+    side, its colex ranks (int64 counts up to q^v) or its work estimate
+    passes a cap.  Nothing is evicted by hand: a refused layout goes with
+    this call, a returned one with its caller."""
+    q = level_q(ring.field.p, e)
     cols = ring.dim_R(m)
     rows = n_monomials_capped(ring.v, m + ring.delta * (q - 1), q - 1)
     if cols > MAX_MATRIX_SIDE or rows > MAX_MATRIX_SIDE:
@@ -641,8 +636,8 @@ def _check_caps(ring: GradedHypersurface, e: int, m: int,
             f"cap {MAX_MATRIX_SIDE}")
     if q ** ring.v >= 2 ** 63:
         raise InstanceTooLarge(
-            f"instance too large at m={m}: row keys of {ring.v} exponents "
-            f"below q={q} reach q^{ring.v} >= 2^63")
+            f"instance too large at m={m}: colex ranks of {ring.v} "
+            f"exponents below q={q} count up to q^{ring.v} >= 2^63")
     cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
     layout = _layout(ring, e, m)
     shapes = layout.shapes
@@ -665,8 +660,6 @@ def b_dimension(ring: GradedHypersurface, e: int, m: int,
     lives only as long as this call, so nothing is evicted by hand.  The
     level is taken only once the caps pass, so a refused degree never
     powers G^(q-1)."""
-    if e < 1:
-        raise ValidationError(f"level must be >= 1, got {e}")
     if m < 0:
         raise ValidationError(f"degree must be >= 0, got {m}")
     key = (e, m)
@@ -752,8 +745,8 @@ def _certify(level: _Level, layouts: list[tuple[int, _Layout]]
             continue
         if sketch:
             A = _sketch(level, m, blk)
-            # the check needs the entries, not the row keys
-            queue.append((m, w, A, blk._replace(row_keys=None)))
+            # the check needs the entries, not the row ranks
+            queue.append((m, w, A, blk._replace(row_ranks=None)))
             held += blk.vals.size
         else:
             A = _dense(blk, tall=True)
@@ -777,8 +770,8 @@ def _dense(blk: _Block, tall: bool) -> np.ndarray:
 
 
 def _sketch(level: _Level, m: int, blk: _Block) -> np.ndarray:
-    """Row compression of a block of Phi_{e,m}: every row is hashed to one
-    of ncols + _SPARE buckets with a nonzero key-dependent coefficient.
+    """Row compression of a block of Phi_{e,m}: every row's colex rank hashes
+    it to one of ncols + _SPARE buckets with a nonzero coefficient.
     Deterministic in (block, e, m).  The entries are accumulated in chunks
     of _SKETCH_ENTRIES, each into the columns it spans, and reduced mod p
     there; every partial sum is an integer below p times the entry count
@@ -795,9 +788,9 @@ def _sketch(level: _Level, m: int, blk: _Block) -> np.ndarray:
     for x in (p, level.v, level.delta, level.e, m, 0):
         h = ((h ^ x) * 0x100000001B3) % 2 ** 64
     sd = np.uint64(h)
-    keys = blk.row_keys.astype(np.uint64)
-    buckets = ((keys * _HASH_A + sd) >> np.uint64(32)).astype(np.int64) % r
-    mix = ((keys * _HASH_B + sd) >> np.uint64(29)).astype(np.int64)
+    ranks = blk.row_ranks.astype(np.uint64)
+    buckets = ((ranks * _HASH_A + sd) >> np.uint64(32)).astype(np.int64) % r
+    mix = ((ranks * _HASH_B + sd) >> np.uint64(29)).astype(np.int64)
     coeffs = 1 + mix % (p - 1) if p > 2 else np.ones_like(mix)
     S = np.zeros((r, ncols), dtype=dtype)
     for t in range(0, blk.vals.size, _SKETCH_ENTRIES):
@@ -862,8 +855,6 @@ def _kernel_verifies(blk: _Block, K: np.ndarray, p: int) -> bool:
 def fedder_is_fsplit(ring: GradedHypersurface, e: int) -> bool:
     """F-splitness at level e: I_e(0) = 0, i.e. G^(q-1) has a monomial with
     all exponents <= q-1."""
-    if e < 1:
-        raise ValidationError(f"level must be >= 1, got {e}")
     return ring.level(e).W.shape[0] > 0
 
 
@@ -1061,15 +1052,13 @@ def membership_check(ring: GradedHypersurface, e: int,
 
     Elements of (G) are vacuous members and are flagged.
     """
-    if e < 1:
-        raise ValidationError(f"level must be >= 1, got {e}")
+    q = level_q(ring.field.p, e)
     if f.field != ring.field or f.nvars != ring.v:
         raise ValidationError("element lives in a different ring")
     if f.is_zero():
         raise ValidationError("zero element: membership is vacuous")
     if f.homogeneous_degree is None:
         raise ValidationError("element must be homogeneous")
-    q = ring.field.p ** e
     prod = f.mul(digit_power(ring.G, e))
     member = all(max(exps) >= q for exps in prod.terms)
     return MembershipResult(member, _reduce_mod_G(ring, f).is_zero())
@@ -1128,6 +1117,7 @@ def fano_report(ring: GradedHypersurface, e_max: int,
         raise ValidationError(f"non-Fano: v-delta = {s}")
     if e_max < 1:
         raise ValidationError(f"e_max must be >= 1, got {e_max}")
+    level_q(ring.field.p, e_max)  # refused before level 1 is ranked
     profiles: list[SplittingProfile] = []
     prev = None
     for e in range(1, e_max + 1):

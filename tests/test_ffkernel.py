@@ -323,6 +323,20 @@ class TestPowerBound:
             digit_power(G, 2, term_cap=35)
         assert not calls
 
+    def test_level_past_int64_refused(self, monkeypatch):
+        # q = p^e >= 2^63 is refused before any product, and a huge e
+        # before p ** e or any term bound is formed; G = x over F_2 still
+        # powers at q = 2^62
+        x = PolynomialFp(PrimeField(2), 1, {(1,): 1})
+        assert digit_power(x, 62).terms == {(2 ** 62 - 1,): 1}
+        calls = self.spy(monkeypatch)
+        for G, e in ((x, 63), (self.conic(3), 40), (self.conic(5), 10 ** 5),
+                     (self.conic(5), 10 ** 20)):
+            with pytest.raises(InstanceTooLarge,
+                               match=r"q = \d+\^\d+ >= 2\^63"):
+                digit_power(G, e)
+        assert not calls
+
     def test_large_prime_refused_at_once(self, monkeypatch):
         calls = self.spy(monkeypatch)
         with pytest.raises(InstanceTooLarge, match="power too large"):

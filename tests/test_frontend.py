@@ -351,6 +351,33 @@ class TestExitCodes:
                          "--poly", "x0^2+x1^2+x2^2"]) == 3
         assert time.monotonic() - t0 < 5
 
+    @pytest.mark.parametrize("argv", [
+        ["membership", "--element", "x", "--e", "100000"],
+        ["membership", "--element", "x", "--e", "99999999999999999999"],
+        ["split", "--e", "1..99999999999999999999"],
+        ["fano", "--e", "99999999999999999999"]],
+        ids=["membership-e1e5", "membership-e1e20", "split-e1..1e20",
+             "fano-e1e20"])
+    def test_level_past_int64_refused_first(self, argv, capsys):
+        # q = 5^e past int64 is refused before any big integer is formed,
+        # and a top level before level 1 is ranked (levels 1-4 of the conic
+        # take about a minute)
+        t0 = time.monotonic()
+        assert self.run(argv[:1] + ["--p", "5", "--poly", "x^2+y^2+z^2"]
+                        + argv[1:]) == 3
+        assert time.monotonic() - t0 < 5
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: level too large: q = 5^")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_exponent_past_int64_refused(self, capsys):
+        assert self.run(["split", "--p", "5", "--poly",
+                         "x^99999999999999999999+y^99999999999999999999"]) \
+            == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: exponent too large")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("p", [32771, 40009])
     def test_exponents_past_int16_refused(self, p, capsys):
         # G^(p-1) has exponents p - 1 >= 2^15; the whole Phi is refused by

@@ -100,7 +100,7 @@ class TestGradedHypersurface:
 
 class TestLevel:
     """Every degree of a level reads one _Level per ring and level; its
-    term masks and key data are formed on first use."""
+    term masks and the terms' prefix sums aw are formed on first use."""
 
     def test_powered_once_per_ring_and_level(self, monkeypatch):
         # the Fedder test, a rank, a threshold and a profile at level 2
@@ -121,17 +121,17 @@ class TestLevel:
 
     def test_masks_and_keys_formed_on_first_use(self):
         # the Fedder test forms neither; a threshold that a zero column
-        # settles forms the masks alone; a rank forms the key data
+        # settles forms the masks alone; a rank forms the prefix sums
         F = PrimeField(3)
         lines = GradedHypersurface(F, ("x0", "x1", "x2"),
                                    PolynomialFp(F, 3, {(1, 1, 0): 1}))
         assert fedder_is_fsplit(lines, 1)
         level = lines.level(1)
-        assert not {"masks", "keys"} & set(vars(level))
+        assert not {"masks", "aw"} & set(vars(level))
         assert m_threshold(lines, 1) == 0
-        assert "masks" in vars(level) and "keys" not in vars(level)
+        assert "masks" in vars(level) and "aw" not in vars(level)
         assert b_dimension(lines, 1, 0) == 1
-        assert "keys" in vars(level)
+        assert "aw" in vars(level)
 
     def test_fedder_forms_no_masks(self, monkeypatch):
         # G^(p-1) = (x0 x1)^(p-1) is one term, so the Fedder test is
@@ -246,12 +246,12 @@ class TestBDimension:
         assert len(sketched) == 1
         assert calls == ["kernel_fp_dense", "rank_fp_dense"]
 
-    @pytest.mark.parametrize("m,b", [(20, 441), (26, 729)])
+    @pytest.mark.parametrize("m,b", [(26, 729), (27, 676)])
     def test_failed_first_sketches_go_exact(self, m, b, monkeypatch):
         # unpatched failing sketches: the one block of the ungraded quadric
-        # at e=3 has full column rank at m=20 (row bound 6321, 441 columns)
-        # and at m=26 (3654 x 729), yet its sketch loses rank and the true
-        # check refuses the sketch's kernel
+        # at e=3 is 3654 x 729 with full column rank at m=26, and 3276 x
+        # 751 of rank 676 < dim R_27 = 784 at m=27, yet its sketch loses
+        # rank and the true check refuses the sketch's kernel
         ring = ungraded_quadric()
         calls = self.spy_engines(monkeypatch)
         verify, verdicts = splitting._kernel_verifies, []
@@ -260,7 +260,7 @@ class TestBDimension:
             verdicts.append(verify(*args))
             return verdicts[-1]
         monkeypatch.setattr(splitting, "_kernel_verifies", recorded)
-        assert b_dimension(ring, 3, m) == b == ring.dim_R(m)
+        assert b_dimension(ring, 3, m) == b
         assert calls == ["kernel_fp_dense", "_kernel_verifies",
                          "rank_fp_dense"]
         assert verdicts == [False]
@@ -329,7 +329,7 @@ class TestBDimension:
         assert set(calls) == {"kernel_fp_batched"}
 
     def test_first_sketches_of_quadric_surface_verify(self, monkeypatch):
-        # the bucket hash keeps the high bits of key * _HASH_A, which spread
+        # the bucket hash keeps the high bits of rank * _HASH_A, which spread
         # the rows of every sketched block of the quadric surface at p=5,
         # e=2 over enough buckets that no first sketch fails its check and
         # no second sketch goes to kernel_fp_dense
@@ -434,9 +434,9 @@ class TestBDimension:
         assert sorted(ring._b_cache) == [(2, m) for m in range(pr.M_e + 1)]
 
     def test_row_keys_past_int64_refused(self, monkeypatch):
-        # a row key sums u_i q^i over the v exponents of a target, so it
-        # reaches q^v - 1; at q = 2 and v = 63 that is refused before any
-        # block is built, at v = 62 the rank is computed
+        # the int64 colex tables count targets of v exponents below q, up
+        # to q^v; at q = 2 and v = 63 that is refused before any block is
+        # built or any prefix sum formed, at v = 62 the rank is computed
         F = PrimeField(2)
         for v in (62, 63):
             G = PolynomialFp(F, v, {(1, 1) + (0,) * (v - 2): 1})
@@ -446,9 +446,9 @@ class TestBDimension:
                 continue
 
             def unbuilt(*args):
-                raise AssertionError("row keys formed past 2^63")
+                raise AssertionError("a block built past 2^63")
             monkeypatch.setattr(splitting, "_build_block", unbuilt)
-            monkeypatch.setattr(splitting._Level, "keys", property(unbuilt))
+            monkeypatch.setattr(splitting._Level, "aw", property(unbuilt))
             with pytest.raises(InstanceTooLarge, match=r"q\^63 >= 2\^63"):
                 b_dimension(ring, 1, 0)
             assert m_threshold(ring, 1) == 0  # a zero column at m = 1
@@ -523,7 +523,9 @@ class TestBDimension:
 def unique_numbered_block(ring, e, U) -> splitting._Block:
     """The block of Phi on the columns U, numbered the way np.unique numbers
     it: every product u + w with no exponent past q - 1, column by column,
-    rows in the order of their sorted keys."""
+    rows in the order of their sorted base-q keys sum_i r_i q^i.  A row's
+    rank is the place of its key among the keys of every degree-D target
+    from exponent_array, whose colex order is the order of their keys."""
     q = ring.field.p ** e
     level = ring.level(e)
     W, cw = level.W.astype(np.int64), level.cw
@@ -534,15 +536,20 @@ def unique_numbered_block(ring, e, U) -> splitting._Block:
         jj.append(j + j0)
         tt.append(t)
     jj, tt = np.concatenate(jj), np.concatenate(tt)
-    row_keys, rows = np.unique(
-        (U[jj].astype(np.int64) + W[tt]) @ q ** np.arange(ring.v),
-        return_inverse=True)
+    weights = q ** np.arange(ring.v)
+    row_keys, rows = np.unique((U[jj].astype(np.int64) + W[tt]) @ weights,
+                               return_inverse=True)
+    D = int(U[0].sum()) + ring.delta * (q - 1)
+    every_key = exponent_array(ring.v, D, q - 1) @ weights
+    assert (np.diff(every_key) > 0).all()
+    row_ranks = np.searchsorted(every_key, row_keys)
+    assert np.array_equal(every_key[row_ranks], row_keys)
     col_ids, cols = np.unique(jj, return_inverse=True)
     return splitting._Block(
         (row_keys.size, col_ids.size),
         rows.reshape(-1).astype(np.min_scalar_type(row_keys.size)),
         cols.reshape(-1).astype(np.min_scalar_type(col_ids.size)),
-        cw[tt], row_keys)
+        cw[tt], row_ranks)
 
 
 def layout_by_every_target(ring, e, m) -> splitting._Layout:
@@ -570,7 +577,7 @@ class TestBuildBlock:
         U = np.array([[3, 0, 0, 0], [0, 1, 4, 0]], dtype=np.uint8)
         blk = splitting._build_block(quadric_p3.level(1), 2, U)
         assert blk.shape == (0, 0)
-        for a in (blk.rows, blk.cols, blk.vals, blk.row_keys):
+        for a in (blk.rows, blk.cols, blk.vals, blk.row_ranks):
             assert a.size == 0
         # a live column between dead ones is numbered 0
         live = np.array([[1, 1, 0, 0]], dtype=np.uint8)
@@ -635,7 +642,7 @@ class TestBuildBlock:
         U = layout.basis[layout.columns[0]]
         assert layout.shapes[0] == max(layout.shapes)
         level = ring.level(2)
-        level.masks, level.keys  # the level's tables are not the block's
+        level.masks, level.aw  # the level's tables are not the block's
         tracemalloc.start()
         try:
             blk = splitting._build_block(level, 24, U)
@@ -987,9 +994,9 @@ class TestProfile:
                      id="Q2-p5-e2"),
         pytest.param(lambda: diagonal_hypersurface(101, 3, 2), 1, 0,
                      id="conic-p101"),
-        # these two hold two real failing sketches each (m = 13 among the
-        # cubic's; m = 20 and 26), so the exact fallback runs among the
-        # blocks of a whole level
+        # these two hold two real failing sketches each (m = 12 and 13 of
+        # the cubic, m = 26 and 27 of the ungraded quadric), so the exact
+        # fallback runs among the blocks of a whole level
         pytest.param(f_split_cubic, 3, 2, id="cubic-p3-e3"),
         pytest.param(ungraded_quadric, 3, 2, id="ungraded-e3")])
     def test_level_batches_match_degrees(self, ring, e, failing,
@@ -1036,7 +1043,7 @@ class TestProfile:
         # 2.4 MiB when each degree was batched on its own
         ring = diagonal_hypersurface(5, 4, 2)
         level = ring.level(2)
-        level.masks, level.keys  # the level's tables are not the batches'
+        level.masks, level.aw  # the level's tables are not the batches'
         tracemalloc.start()
         try:
             pr = profile(ring, 2)
