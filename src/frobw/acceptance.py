@@ -6,6 +6,7 @@ criterion fails.  Criterion 10 (oracle equivalence) only runs under --deep.
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 import time
@@ -81,17 +82,11 @@ def random_fan_corpus(count: int = 12, seed: int = 1729) -> list[FanData]:
 
 
 # ---------------------------------------------------------------------------
-# shared rings, built lazily so each verify run shares rank caches
+# shared rings: rings(p, v, delta) is diagonal_hypersurface under
+# functools.cache, made once per verify run, so that its criteria share
+# rank caches
 
-class _Rings:
-    def __init__(self):
-        self.cache: dict[tuple[int, int, int], GradedHypersurface] = {}
-
-    def get(self, p: int, v: int, delta: int) -> GradedHypersurface:
-        key = (p, v, delta)
-        if key not in self.cache:
-            self.cache[key] = diagonal_hypersurface(p, v, delta)
-        return self.cache[key]
+_Rings = Callable[[int, int, int], GradedHypersurface]
 
 
 def criterion_1(rings: _Rings) -> tuple[bool, str]:
@@ -105,7 +100,7 @@ def criterion_1(rings: _Rings) -> tuple[bool, str]:
     ]
     details = []
     for p, text in cases:
-        ring = rings.get(p, 4, 3)
+        ring = rings(p, 4, 3)
         f = parse_polynomial(text, p, ring.names).poly
         t0 = time.monotonic()
         res = membership_check(ring, 1, f)
@@ -123,7 +118,7 @@ def criterion_2(rings: _Rings) -> tuple[bool, str]:
     details = []
     for d in (2, 3):
         for p in (3, 5):
-            ring = rings.get(p, d + 2, 2)
+            ring = rings(p, d + 2, 2)
             for e in (1, 2):
                 got = m_threshold(ring, e)
                 want = p ** e - 1
@@ -136,9 +131,9 @@ def criterion_2(rings: _Rings) -> tuple[bool, str]:
 
 def criterion_3(rings: _Rings) -> tuple[bool, str]:
     """Cubic thresholds, including the frozen p=5 e=2 regression value."""
-    m1_5 = m_threshold(rings.get(5, 4, 3), 1)
-    m1_7 = m_threshold(rings.get(7, 4, 3), 1)
-    m2_5 = m_threshold(rings.get(5, 4, 3), 2)
+    m1_5 = m_threshold(rings(5, 4, 3), 1)
+    m1_7 = m_threshold(rings(7, 4, 3), 1)
+    m2_5 = m_threshold(rings(5, 4, 3), 2)
     ok = (m1_5 == 1 and m1_7 == 2 and m2_5 == FROZEN["cubic_p5_e2_m"]
           and m2_5 in (8, 9))
     return ok, (f"p5 m_1={m1_5} (want 1), p7 m_1={m1_7} (want 2), "
@@ -148,7 +143,7 @@ def criterion_3(rings: _Rings) -> tuple[bool, str]:
 
 def criterion_4(rings: _Rings) -> tuple[bool, str]:
     """Strict normalized upper bound (m_2+1)/24 < 1/2 at p=5."""
-    m2 = m_threshold(rings.get(5, 4, 3), 2)
+    m2 = m_threshold(rings(5, 4, 3), 2)
     upper = Fraction(m2 + 1, 24)
     return upper < Fraction(1, 2), f"(m_2+1)/24 = {upper} vs 1/2"
 
@@ -165,7 +160,7 @@ def criterion_5(rings: _Rings) -> tuple[bool, str]:
     """Duality palindrome b_e(m) = b_e(M_e - m) on full profiles."""
     done, failed = [], []
     for p, v, delta, e in _DUALITY_CASES:
-        ring = rings.get(p, v, delta)
+        ring = rings(p, v, delta)
         try:
             pr = profile(ring, e)
         except FrobwError as ex:
@@ -187,7 +182,7 @@ def criterion_6(rings: _Rings) -> tuple[bool, str]:
     details = []
     for p, v, delta in [(3, 4, 2), (5, 4, 2), (3, 5, 2), (5, 5, 2),
                         (5, 4, 3)]:
-        ring = rings.get(p, v, delta)
+        ring = rings(p, v, delta)
         vals = []
         for e in (1, 2):
             m_e = m_threshold(ring, e)
@@ -237,7 +232,7 @@ def criterion_9(rings: _Rings) -> tuple[bool, str]:
     toric_half = toric_alpha(named_fans()["P1xP1"]).alpha
     details = []
     for p in (3, 5):
-        ring = rings.get(p, 4, 2)
+        ring = rings(p, 4, 2)
         for e in (1, 2):
             m_e = m_threshold(ring, e)
             norm = Fraction(m_e, p ** e) / 2
@@ -256,7 +251,7 @@ def criterion_10(rings: _Rings) -> tuple[bool, str]:
     from .splitting import b_dimension
     checked = 0
     for p, v, delta, e in [(3, 4, 2, 1), (5, 4, 3, 1), (3, 4, 2, 2)]:
-        ring = rings.get(p, v, delta)
+        ring = rings(p, v, delta)
         M = (p ** e - 1) * ring.fano_coindex
         for m in range(M + 1):
             naive = naive_b_dimension(ring, e, m)
@@ -286,7 +281,7 @@ def criterion_11(rings: _Rings) -> tuple[bool, str]:
     oracle values, and a_3, which no oracle value covers, is reported; s_raw
     reported next to the known limit 15/124 (not reproducible exactly at
     this scale; no tolerance enforced)."""
-    ring = rings.get(5, 4, 3)
+    ring = rings(5, 4, 3)
     a = [profile(ring, e).a_e for e in (1, 2, 3)]
     frozen = [FROZEN["cubic_p5_e1_a"], FROZEN["cubic_p5_e2_a"]]
     s_raw = [Fraction(a_e, 5 ** (3 * e)) for e, a_e in enumerate(a, 1)]
@@ -331,7 +326,7 @@ CRITERIA: list[tuple[int, str, Callable, bool]] = [
 def run_acceptance(deep: bool = False,
                    stream: TextIO | None = None) -> int:
     stream = stream if stream is not None else sys.stdout
-    rings = _Rings()
+    rings = functools.cache(diagonal_hypersurface)
     failures = 0
     total0 = time.monotonic()
     for num, name, fn, deep_only in CRITERIA:

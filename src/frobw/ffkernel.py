@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InstanceTooLarge, ValidationError
 
-#: default cap on term counts of computed powers
-DEFAULT_POWER_TERM_CAP = 10 ** 7
+#: cap on the term count of a computed power, read at each call
+POWER_TERM_CAP = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +190,12 @@ class PolynomialFp:
                                  self.field.p)
         return self._decode(keys, coeffs, radix, places)
 
-    def pow(self, n: int, term_cap: int = DEFAULT_POWER_TERM_CAP) -> "PolynomialFp":
+    def pow(self, n: int) -> "PolynomialFp":
         """Binary powering on encoded keys.  A power that could have more
-        than term_cap terms is refused before the first product."""
+        than POWER_TERM_CAP terms is refused before the first product."""
         if n < 0:
             raise ValidationError("negative power")
-        _check_term_bound(power_term_bound(self, n), n, term_cap)
+        _check_term_bound(power_term_bound(self, n), n)
         # every intermediate power G^k, k <= n, has exponents at most n
         # times those of G, so one radix serves the whole ladder
         radix = [n * a + 1 for a in self._max_exponents()]
@@ -319,11 +319,11 @@ def power_term_bound(G: PolynomialFp, n: int) -> int:
     return bound
 
 
-def _check_term_bound(bound: int, n: int, term_cap: int) -> None:
-    if bound > term_cap:
+def _check_term_bound(bound: int, n: int) -> None:
+    if bound > POWER_TERM_CAP:
         raise InstanceTooLarge(
             f"power too large: G^{n} may have up to {bound} terms, over the "
-            f"cap {term_cap}")
+            f"cap {POWER_TERM_CAP}")
 
 
 def level_q(p: int, e: int) -> int:
@@ -336,8 +336,7 @@ def level_q(p: int, e: int) -> int:
     return p ** e
 
 
-def digit_power(G: PolynomialFp, e: int,
-                term_cap: int = DEFAULT_POWER_TERM_CAP) -> PolynomialFp:
+def digit_power(G: PolynomialFp, e: int) -> PolynomialFp:
     """G^(p^e - 1) via the Frobenius-digit factorization
     prod_{i=0}^{e-1} Frob^i(G^(p-1)).
 
@@ -345,16 +344,16 @@ def digit_power(G: PolynomialFp, e: int,
     prime-field coefficients.  The partial products are G^(p^k - 1) for
     k <= e, so their term counts are bounded by both the bound for
     G^(p^e - 1) and the e-th power of the bound for G^(p-1); the smaller one
-    is checked against term_cap before any product, and p^e >= 2^63 before
-    either bound is formed (level_q).
+    is checked against POWER_TERM_CAP before any product, and p^e >= 2^63
+    before either bound is formed (level_q).
     """
     if G.is_zero():
         raise ValidationError("digit_power of the zero polynomial")
     p = G.field.p
     q = level_q(p, e)
     _check_term_bound(min(power_term_bound(G, p - 1) ** e,
-                          power_term_bound(G, q - 1)), q - 1, term_cap)
-    base = G.pow(p - 1, term_cap=term_cap)
+                          power_term_bound(G, q - 1)), q - 1)
+    base = G.pow(p - 1)
     result = base
     for i in range(1, e):
         result = result.mul(base.frobenius(i))

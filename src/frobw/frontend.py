@@ -32,9 +32,10 @@ from typing import Sequence, TextIO
 from . import __version__
 from .errors import (FrobwError, InternalCheckError, ParseError,
                      ValidationError)
-from .ffkernel import PolynomialFp, PrimeField, level_q
+from .ffkernel import PolynomialFp, PrimeField
 from .splitting import (FanoReport, GradedHypersurface, SplittingProfile,
-                        fano_report, membership_check, profile)
+                        check_level, fano_report, membership_check,
+                        profile)
 from .toric import FanData, ToricAlphaReport, toric_alpha
 
 
@@ -436,7 +437,7 @@ def _cmd_split(args, stream: TextIO) -> int:
     t0 = time.monotonic()
     ring, text = _build_ring(args)
     levels = _parse_levels(args.e)
-    level_q(ring.field.p, levels[-1])  # refused before level 1 is ranked
+    check_level(ring, levels[-1])  # refused before level 1 is ranked
     profiles: list[SplittingProfile] = []
     prev = None
     for e in range(1, levels[-1] + 1):

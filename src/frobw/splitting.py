@@ -91,8 +91,8 @@ MAX_MATRIX_SIDE = 5 * 10 ** 5
 #: dense materialization limit in matrix cells
 DENSE_CELLS = 5 * 10 ** 7
 
-#: default cap on estimated elimination work (floating operations) per rank
-DEFAULT_WORK_CAP = 2.0 * 10 ** 11
+#: cap on estimated elimination work (floating operations) per rank
+WORK_CAP = 2.0 * 10 ** 11
 
 #: blocks with more than this many rows per column are sketched
 _TALL = 2
@@ -621,13 +621,11 @@ def _estimate_flops(rows: int, cols: int) -> float:
     return float(cols) * cols * (cols + _SPARE) / 3.0
 
 
-def _check_caps(ring: GradedHypersurface, e: int, m: int,
-                work_cap: float | None) -> _Layout:
-    """The layout of Phi_{e,m}, refused before any block is built when its
-    side, its colex ranks (int64 counts up to q^v) or its work estimate
-    passes a cap.  Nothing is evicted by hand: a refused layout goes with
-    this call, a returned one with its caller."""
-    q = level_q(ring.field.p, e)
+def _check_counts(ring: GradedHypersurface, q: int, m: int
+                  ) -> tuple[int, int]:
+    """The shape of Phi_{e,m} at q = p^e, refused when a side passes
+    MAX_MATRIX_SIDE or its colex ranks (int64 counts up to q^v) could
+    overflow.  Counted from binomials: nothing is enumerated."""
     cols = ring.dim_R(m)
     rows = n_monomials_capped(ring.v, m + ring.delta * (q - 1), q - 1)
     if cols > MAX_MATRIX_SIDE or rows > MAX_MATRIX_SIDE:
@@ -638,34 +636,61 @@ def _check_caps(ring: GradedHypersurface, e: int, m: int,
         raise InstanceTooLarge(
             f"instance too large at m={m}: colex ranks of {ring.v} "
             f"exponents below q={q} count up to q^{ring.v} >= 2^63")
-    cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
+    return rows, cols
+
+
+def check_level(ring: GradedHypersurface, e: int) -> int:
+    """M_e = (q - 1)(v - delta), the last degree of the level-e profile,
+    once the ring is Fano, q = p^e is below 2^63 (level_q), no target lies
+    past M_e, and every degree 0..M_e passes _check_counts.  Counts only:
+    G^(q-1) is not powered and no basis is built, so a level over the
+    count caps is refused before any heavy work."""
+    if ring.fano_coindex <= 0:
+        raise ValidationError(
+            f"non-Fano: profile needs v > delta (v-delta = "
+            f"{ring.fano_coindex})")
+    q = level_q(ring.field.p, e)
+    M = (q - 1) * ring.fano_coindex
+    # beyond M_e there is no reduced target monomial, so the b-values
+    # up to M_e are the whole profile and a_e is their sum
+    tail_rows = n_monomials_capped(ring.v, M + 1 + ring.delta * (q - 1),
+                                   q - 1)
+    if tail_rows != 0:
+        raise InternalCheckError(
+            f"tail not zero: {tail_rows} reduced targets at m={M + 1}")
+    for m in range(M + 1):
+        _check_counts(ring, q, m)
+    return M
+
+
+def _check_caps(ring: GradedHypersurface, e: int, m: int) -> _Layout:
+    """The layout of Phi_{e,m}, refused before any block is built when its
+    counts (_check_counts) or its work estimate pass a cap."""
+    rows, cols = _check_counts(ring, level_q(ring.field.p, e), m)
     layout = _layout(ring, e, m)
     shapes = layout.shapes
     ranked = [s for s, w in zip(shapes, layout.weights) if w]
     est = sum(_estimate_flops(r, c) for r, c in ranked)
-    if est > cap:
+    if est > WORK_CAP:
         r, c = max(ranked, key=lambda s: _estimate_flops(*s))
         raise InstanceTooLarge(
             f"instance too large at m={m}: estimated {est:.2e} elimination "
             f"operations on a {rows} x {cols} matrix in {len(shapes)} "
             f"block(s), the largest {r} x {c}, exceeds the work cap "
-            f"{cap:.2e}; pass a larger work_cap to force the attempt")
+            f"{WORK_CAP:.2e}")
     return layout
 
 
-def b_dimension(ring: GradedHypersurface, e: int, m: int,
-                work_cap: float | None = None) -> int:
+def b_dimension(ring: GradedHypersurface, e: int, m: int) -> int:
     """b_e(m) = dim R_m - dim I_e(m) = rank Phi_{e,m}.  Certified exact.
-    The ring keeps the rank; the layout, from _check_caps, is a local that
-    lives only as long as this call, so nothing is evicted by hand.  The
-    level is taken only once the caps pass, so a refused degree never
-    powers G^(q-1)."""
+    The ring keeps the rank.  The level is taken only once the caps pass,
+    so a refused degree never powers G^(q-1)."""
     if m < 0:
         raise ValidationError(f"degree must be >= 0, got {m}")
     key = (e, m)
     if key in ring._b_cache:
         return ring._b_cache[key]
-    layout = _check_caps(ring, e, m, work_cap)
+    layout = _check_caps(ring, e, m)
     b = _certify(ring.level(e), [(m, layout)])[m]
     ring._b_cache[key] = b
     return b
@@ -871,8 +896,7 @@ def _first(pred, hi: int) -> int:
     return m
 
 
-def m_threshold(ring: GradedHypersurface, e: int,
-                work_cap: float | None = None) -> int:
+def m_threshold(ring: GradedHypersurface, e: int) -> int:
     """The largest m with I_e(m) = 0.
 
     Multiplication by a linear form embeds I_e(m) into I_e(m+1) on a
@@ -911,7 +935,7 @@ def m_threshold(ring: GradedHypersurface, e: int,
 
     def nonzero(m: int) -> bool:
         nonlocal zero
-        if b_dimension(ring, e, m, work_cap=work_cap) < ring.dim_R(m):
+        if b_dimension(ring, e, m) < ring.dim_R(m):
             return True
         zero = m  # the searches rank zeros in increasing order
         return False
@@ -963,36 +987,28 @@ class SplittingProfile:
 
 def profile(ring: GradedHypersurface, e: int,
             prev: SplittingProfile | None = None,
-            work_cap: float | None = None,
             threads: int = 1) -> SplittingProfile:
     """Assemble the full level-e profile with its self-checks.
 
-    Every unranked degree passes _check_caps once before any rank, so a
-    refusal leaves the ring as it was; the checked layouts then go to one
-    _certify call, which ranks the blocks of the whole level together on
-    the calling thread (BLAS may use its own threads), and the ranks join
-    the ring's cache, from which b_dimension reads each degree.  threads is
+    The level passes check_level before G^(q-1) is powered, and every
+    unranked degree passes _check_caps once before any rank, so a refusal
+    leaves the ring as it was; the checked layouts then go to one _certify
+    call, which ranks the blocks of the whole level together on the
+    calling thread (BLAS may use its own threads), and the ranks join the
+    ring's cache, from which b_dimension reads each degree.  threads is
     accepted and has no effect."""
-    if ring.fano_coindex <= 0:
+    if prev is not None and prev.e != e - 1:
         raise ValidationError(
-            f"non-Fano: profile needs v > delta (v-delta = "
-            f"{ring.fano_coindex})")
+            f"previous profile is level {prev.e}, expected {e - 1}")
+    M = check_level(ring, e)
     if not fedder_is_fsplit(ring, e):
         raise ValidationError(f"not F-split at level e={e}")
     q = ring.level(e).q
-    M = (q - 1) * ring.fano_coindex
-    # beyond M_e there is no reduced target monomial, so the b-values
-    # up to M_e are the whole profile and a_e is their sum
-    tail_rows = n_monomials_capped(ring.v, M + 1 + ring.delta * (q - 1),
-                                   q - 1)
-    if tail_rows != 0:
-        raise InternalCheckError(
-            f"tail not zero: {tail_rows} reduced targets at m={M + 1}")
-    ranks = _certify(ring.level(e), [(m, _check_caps(ring, e, m, work_cap))
+    ranks = _certify(ring.level(e), [(m, _check_caps(ring, e, m))
                                      for m in range(M + 1)
                                      if (e, m) not in ring._b_cache])
     ring._b_cache.update(((e, m), b) for m, b in ranks.items())
-    b = [b_dimension(ring, e, m, work_cap=work_cap) for m in range(M + 1)]
+    b = [b_dimension(ring, e, m) for m in range(M + 1)]
     dims = [ring.dim_R(m) for m in range(M + 1)]
     # scan monotonicity: I_e(m) != 0 implies I_e(m+1) != 0
     for m in range(M):
@@ -1006,9 +1022,6 @@ def profile(ring: GradedHypersurface, e: int,
     a_e = sum(b)
     monotone_ok: bool | None = None
     if prev is not None:
-        if prev.e != e - 1:
-            raise ValidationError(
-                f"previous profile is level {prev.e}, expected {e - 1}")
         monotone_ok = (prev.alpha_e + Fraction(1, ring.field.p ** prev.e)
                        >= Fraction(m_e, q) + Fraction(1, q))
     return SplittingProfile(
@@ -1022,27 +1035,16 @@ def profile(ring: GradedHypersurface, e: int,
     )
 
 
+@dataclass(frozen=True)
 class MembershipResult:
     """Boolean-like result of a membership test, with a vacuousness flag for
     elements that already lie in (G)."""
 
-    def __init__(self, member: bool, in_principal_ideal: bool):
-        self.member = member
-        self.in_principal_ideal = in_principal_ideal
+    member: bool
+    in_principal_ideal: bool
 
     def __bool__(self) -> bool:
         return self.member
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, bool):
-            return self.member == other
-        return (isinstance(other, MembershipResult)
-                and other.member == self.member
-                and other.in_principal_ideal == self.in_principal_ideal)
-
-    def __repr__(self) -> str:
-        return (f"MembershipResult(member={self.member}, "
-                f"in_principal_ideal={self.in_principal_ideal})")
 
 
 def membership_check(ring: GradedHypersurface, e: int,
@@ -1108,7 +1110,6 @@ class FanoReport:
 
 
 def fano_report(ring: GradedHypersurface, e_max: int,
-                work_cap: float | None = None,
                 threads: int = 1) -> FanoReport:
     """Profiles for e = 1..e_max with anticanonically normalized invariants;
     threads is accepted and has no effect, as in profile."""
@@ -1117,11 +1118,11 @@ def fano_report(ring: GradedHypersurface, e_max: int,
         raise ValidationError(f"non-Fano: v-delta = {s}")
     if e_max < 1:
         raise ValidationError(f"e_max must be >= 1, got {e_max}")
-    level_q(ring.field.p, e_max)  # refused before level 1 is ranked
+    check_level(ring, e_max)  # refused before level 1 is ranked
     profiles: list[SplittingProfile] = []
     prev = None
     for e in range(1, e_max + 1):
-        prev = profile(ring, e, prev=prev, work_cap=work_cap)
+        prev = profile(ring, e, prev=prev)
         profiles.append(prev)
     estimates = [pr.alpha_e / s for pr in profiles]
     uppers = [pr.alpha_upper / s for pr in profiles]

@@ -4,28 +4,25 @@ These call the same criterion functions that `frobw verify` runs.  The
 duality criterion is the slowest: its p=5 quadric threefold at level 2
 needs every b_2(m), m <= 72, from matrices with up to 234131 rows and up to
 17575 columns.  Each Phi_{2,m} there splits into at most 16 graded blocks,
-which keeps every rank under the default work cap.  The blocks fall into 3
+which keeps every rank under the work cap.  The blocks fall into 3
 symmetry orbits and one block per orbit is ranked, so the criterion takes
 about 35 s on two cores.  Criterion 10 is the slow oracle-equivalence sweep
 and is marked `deep` (the CLI runs it under `verify --deep`).  One more
 test pins the level-3 profile that criterion 11 reports.
 """
 
+import functools
 import io
 
 import pytest
 
-from frobw.acceptance import (
-    CRITERIA,
-    _Rings,
-    run_acceptance,
-)
-from frobw.splitting import profile
+from frobw.acceptance import CRITERIA, run_acceptance
+from frobw.splitting import diagonal_hypersurface, profile
 
 
 @pytest.fixture(scope="module")
 def rings():
-    return _Rings()
+    return functools.cache(diagonal_hypersurface)
 
 
 _BY_NUM = {num: fn for num, _, fn, _ in CRITERIA}
@@ -88,7 +85,7 @@ def test_cubic_surface_level_3(rings):
     # shared ring, so its profile runs once.  These values come from the
     # engine, not the oracle, which does not reach this level; the
     # palindrome b(m) = b(M_3 - m) is their independent check
-    pr = profile(rings.get(5, 4, 3), 3)
+    pr = profile(rings(5, 4, 3), 3)
     assert (pr.m_e, pr.a_e) == (49, 236266)
     assert pr.duality_ok
 

@@ -304,11 +304,13 @@ class TestPowerBound:
     def test_pow_boundary(self, monkeypatch):
         G = self.conic(101)
         calls = self.spy(monkeypatch)
-        assert len(G.pow(10, term_cap=66)) == 66
+        monkeypatch.setattr(ffkernel, "POWER_TERM_CAP", 66)
+        assert len(G.pow(10)) == 66
         assert calls
         calls.clear()
+        monkeypatch.setattr(ffkernel, "POWER_TERM_CAP", 77)
         with pytest.raises(InstanceTooLarge, match="up to 78 terms"):
-            G.pow(11, term_cap=77)
+            G.pow(11)
         assert not calls
 
     def test_digit_power_boundary(self, monkeypatch):
@@ -316,11 +318,13 @@ class TestPowerBound:
         # the bound for G^2 is 36, and the power has exactly 36 terms
         G = self.conic(3)
         calls = self.spy(monkeypatch)
-        assert len(digit_power(G, 2, term_cap=36)) == 36
+        monkeypatch.setattr(ffkernel, "POWER_TERM_CAP", 36)
+        assert len(digit_power(G, 2)) == 36
         assert calls
         calls.clear()
+        monkeypatch.setattr(ffkernel, "POWER_TERM_CAP", 35)
         with pytest.raises(InstanceTooLarge, match="up to 36 terms"):
-            digit_power(G, 2, term_cap=35)
+            digit_power(G, 2)
         assert not calls
 
     def test_level_past_int64_refused(self, monkeypatch):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import frobw.frontend as frontend
+import frobw.splitting as splitting
 from frobw.errors import ParseError
 from frobw.ffkernel import PolynomialFp, PrimeField
 from frobw.frontend import Report, parse_fan, parse_polynomial, run_cli
@@ -368,6 +369,26 @@ class TestExitCodes:
         assert time.monotonic() - t0 < 5
         err = capsys.readouterr().err
         assert err.startswith("validation error: level too large: q = 5^")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["split", "--e", "5"], ["split", "--e", "4..5"], ["fano", "--e", "5"]],
+        ids=["split-e5", "split-e4..5", "fano-e5"])
+    def test_top_level_over_count_caps_refused_first(self, argv, monkeypatch,
+                                                     capsys):
+        # Phi_{5,0} of the conic is 4884375 x 1, over the side cap, so the
+        # top level is refused before any G^(q-1) is powered (levels 1-4
+        # would take about a minute)
+        def unpowered(*args):
+            raise AssertionError("G^(q-1) was powered")
+        monkeypatch.setattr(splitting, "digit_power", unpowered)
+        t0 = time.monotonic()
+        assert self.run(argv[:1] + ["--p", "5", "--poly", "x^2+y^2+z^2"]
+                        + argv[1:]) == 3
+        assert time.monotonic() - t0 < 5
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: instance too large at m=0: "
+                              "matrix is 4884375 x 1, side cap")
         assert len(err.strip().splitlines()) == 1
 
     def test_exponent_past_int64_refused(self, capsys):

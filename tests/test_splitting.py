@@ -779,16 +779,18 @@ class TestSymmetryOrbits:
         assert [b_dimension(ring, 1, m) for m in range(9)] \
             == [naive_b_dimension(ring, 1, m) for m in range(9)]
 
-    def test_work_estimate_counts_ranked_blocks(self):
+    def test_work_estimate_counts_ranked_blocks(self, monkeypatch):
         # the cap is met by the ranked blocks alone, not by all 16
         ring = diagonal_hypersurface(5, 4, 2)
         layout = splitting._layout(ring, 2, 24)
         est = [splitting._estimate_flops(*s) for s in layout.shapes]
         ranked = sum(x for x, w in zip(est, layout.weights) if w)
         assert ranked < sum(est) / 2
+        monkeypatch.setattr(splitting, "WORK_CAP", 0.99 * ranked)
         with pytest.raises(InstanceTooLarge, match="work cap"):
-            b_dimension(ring, 2, 24, work_cap=0.99 * ranked)
-        assert b_dimension(ring, 2, 24, work_cap=ranked) == 25 ** 2
+            b_dimension(ring, 2, 24)
+        monkeypatch.setattr(splitting, "WORK_CAP", ranked)
+        assert b_dimension(ring, 2, 24) == 25 ** 2
 
     def test_shape_mismatch_in_orbit_raises(self, monkeypatch):
         # x2 <-> x3 is no symmetry of x0^2 + x1 x2 + x3^2: it maps the class
@@ -830,18 +832,19 @@ class TestThresholds:
         assert built == [1, 2, 4, 8, 16, 12, 10, 9, 8]
         assert laid_out == [8]
 
-    def test_refused_degree_keeps_no_cache(self):
+    def test_refused_degree_keeps_no_cache(self, monkeypatch):
         # m_threshold: the first zero column is at 25; the ranks at 24, at
         # 16 (galloping) and at 14 (scanning linearly from 9) are refused by
         # the work cap after their layouts are counted; profile: the
         # pre-check refuses 14 after counting degrees 0..13, before any
         # rank, so it leaves no rank behind
+        monkeypatch.setattr(splitting, "WORK_CAP", 1e6)
         for run, ranked in ((m_threshold, {1, 2, 4, 8, 9, 10, 11, 12, 13}),
                             (profile, set())):
             ring = diagonal_hypersurface(5, 5, 2)
             with pytest.raises(InstanceTooLarge,
                                match="at m=14: .* work cap"):
-                run(ring, 2, work_cap=1e6)
+                run(ring, 2)
             assert {m for _, m in ring._b_cache} == ranked
 
     def test_refused_rank_gallops_then_scans(self, monkeypatch):
@@ -851,8 +854,9 @@ class TestThresholds:
         # needs, raises
         ring = diagonal_hypersurface(5, 5, 2)
         checked = self.spy_caps(monkeypatch)
+        monkeypatch.setattr(splitting, "WORK_CAP", 1e6)
         with pytest.raises(InstanceTooLarge, match="at m=14: .* work cap"):
-            m_threshold(ring, 2, work_cap=1e6)
+            m_threshold(ring, 2)
         assert checked == [24, 1, 2, 4, 8, 16, 9, 10, 11, 12, 13, 14]
 
     def test_refused_rank_at_w_minus_1_gallops(self, monkeypatch):
@@ -869,11 +873,11 @@ class TestThresholds:
         """Record the degree of every _check_caps call; refuse one degree."""
         checked, check = [], splitting._check_caps
 
-        def recorded(ring, e, m, work_cap):
+        def recorded(ring, e, m):
             checked.append(m)
             if m == refuse:
                 raise InstanceTooLarge(f"refused m={m}")
-            return check(ring, e, m, work_cap)
+            return check(ring, e, m)
         monkeypatch.setattr(splitting, "_check_caps", recorded)
         return checked
 
@@ -983,7 +987,9 @@ class TestProfile:
         m_threshold(ring, 1)
         assert set(ring._b_cache) == {(1, 2)}
         with pytest.raises(InstanceTooLarge, match="work cap"):
-            profile(ring, 1, work_cap=0.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(splitting, "WORK_CAP", 0.0)
+                profile(ring, 1)
         assert set(ring._b_cache) == {(1, 2)}
         checked = TestThresholds.spy_caps(monkeypatch)
         assert profile(ring, 1).b == FROZEN["quadric_p3_e1_b"]
@@ -1059,6 +1065,12 @@ class TestProfile:
         assert pr2.monotone_ok is True
         with pytest.raises(ValidationError):
             profile(cubic_p5, 1, prev=pr1)  # wrong level chain
+        # a wrong chain is refused before the level is ranked
+        ring = diagonal_hypersurface(5, 4, 3)
+        with pytest.raises(ValidationError, match="previous profile is "
+                           "level 2, expected 1"):
+            profile(ring, 2, prev=pr2)
+        assert not any(e == 2 for e, _ in ring._b_cache)
 
     def test_free_rank_matches_profile_sum(self, cubic_p5):
         assert profile(cubic_p5, 1).a_e == FROZEN["cubic_p5_e1_a"]
@@ -1086,11 +1098,11 @@ class TestFedderAndMembership:
         # x0 in degree 1: I_1(1) = 0, so not a member
         F = cubic_p5.field
         x0 = PolynomialFp(F, 4, {(1, 0, 0, 0): 1})
-        assert membership_check(cubic_p5, 1, x0) == False  # noqa: E712
+        assert membership_check(cubic_p5, 1, x0).member is False
         # x0^2 in degree 2 is the classical member
         x0sq = PolynomialFp(F, 4, {(2, 0, 0, 0): 1})
         res = membership_check(cubic_p5, 1, x0sq)
-        assert res == True  # noqa: E712
+        assert res.member is True
         assert not res.in_principal_ideal
 
     def test_membership_flags_principal_ideal(self, cubic_p5):
