@@ -178,7 +178,8 @@ def criterion_5(rings: _Rings) -> tuple[bool, str]:
 
 
 def criterion_6(rings: _Rings) -> tuple[bool, str]:
-    """alpha_e + p^-e non-increasing across levels, via thresholds."""
+    """alpha_e + p^-e non-increasing across levels: m_2 <= p(m_1 + 1) - 1,
+    which m_threshold enforces, so a violation raises InternalCheckError."""
     details = []
     for p, v, delta in [(3, 4, 2), (5, 4, 2), (3, 5, 2), (5, 5, 2),
                         (5, 4, 3)]:

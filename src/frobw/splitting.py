@@ -883,88 +883,86 @@ def fedder_is_fsplit(ring: GradedHypersurface, e: int) -> bool:
     return ring.level(e).W.shape[0] > 0
 
 
-def _first(pred, hi: int) -> int:
-    """The least m in [1, hi] with pred(m), for pred monotone on [1, hi)
-    and taken as true at hi, where it is not called: galloping from 1, then
-    bisection."""
-    lo, m = 0, 1
-    while m < hi and not pred(m):
-        lo, m = m, min(2 * m, hi)
-    while m - lo > 1:
-        mid = (lo + m) // 2
-        lo, m = (lo, mid) if pred(mid) else (mid, m)
-    return m
+def _bisect(pred, below: int, above: int) -> int:
+    """The least m in (below, above] with pred(m), for pred monotone on
+    (below, above) and taken as true at above, where it is not called."""
+    while above - below > 1:
+        mid = (below + above) // 2
+        below, above = (below, mid) if pred(mid) else (mid, above)
+    return above
 
 
 def m_threshold(ring: GradedHypersurface, e: int) -> int:
-    """The largest m with I_e(m) = 0.
+    """The largest m with I_e(m) = 0, searched in the window that the
+    threshold m' = m_{e-1} of the level below leaves open, with m_0 = 0
+    (I_0 is the maximal ideal), q' = p^(e-1) and m^[q] = (x_i^q):
 
-    Multiplication by a linear form embeds I_e(m) into I_e(m+1) on a
-    domain, so "I_e(m) != 0" is monotone in m.  The search has two phases.
+        lo = p(m' + 1) - delta(p - 1) - 1 <= m_e <= p(m' + 1) - 1 = hi.
 
-    1. The witness boundary.  Galloping and then bisection on the zero-column
-       scan alone (linear work, no layout, no rank) find the first degree w
-       with a monomial witness, or scan_cap + 1 without one.  Witness
-       degrees form an upper interval: if u is a witness at degree m and
-       u_k < lt(G)_k, then for any j != k, x_j * u is a restricted basis
-       monomial of degree m + 1 whose every product with a term of G^(q-1)
-       keeps the exponent of u's product that passed q - 1.
-    2. The rank at w - 1.  I_e(w) != 0, so I_e(w - 1) = 0 settles
-       m_e = w - 1 with one rank.  Only when I_e(w - 1) != 0 do galloping
-       and bisection run again, on the certified ranks, with every degree
-       from w - 1 on known nonzero: they search [0, w - 1) and probe where
-       a search that ranks every probe without a witness would, so a
-       threshold below w - 1 pays at most one rank more than that search,
-       the one at w - 1.
+    Upper: I_{e-1}(m' + 1) != 0 holds an f outside (G) with f G^(q'-1) in
+    m^[q'].  Then f^p G^(q-1) = (f G^(q'-1))^p G^(p-1) lies in m^[q], and
+    f^p lies outside (G) in the domain R.  Criterion 6 checks this bound.
+    Lower, by the Frobenius trace: S is free over S^p on the x^a with all
+    a_i < p, h = sum_a x^a pi_a(h)^p, and x^a (x^b)^p lies in m^[q] exactly
+    when x^b lies in m^[q'].  So f in S_m lies in I_e exactly when every
+    pi_a(f G^(p-1)) lies in I_{e-1} (Fedder: I_e = (I_{e-1}^[p] : G^(p-1))).
+    Their degrees are at most (m + delta(p - 1))/p, so at most m' when
+    m <= lo, where I_{e-1} is zero: every pi_a lies in (G), f G^(p-1) in
+    (G^p), and f in (G).  So I_e(m) = 0 for m <= lo.
 
-    Correctness rests on the monotonicity of "I_e(m) != 0" alone; that of
-    the witnesses only makes the search fast.  Each scan and each rank
-    builds its own basis and layout and drops them when it returns, so the
-    ring keeps of the search only its ranks and its level (_Level).  When a
-    cap refuses the rank at w - 1, galloping and bisection run on the ranks
-    below w; a rank refused after that ends the search in a linear scan
-    from the last degree known to be zero, so only a rank the answer needs
-    can raise.
+    On a domain "I_e(m) != 0" is monotone in m (multiply by a linear form),
+    and so are the monomial witnesses: if u is one at degree m and u_k <
+    lt(G)_k, then for j != k every product of x_j u with a term of G^(q-1)
+    keeps the exponent of u's product that passed q - 1.  Galloping up
+    from max(lo, 1), then bisection, on the zero-column scans (linear work,
+    no rank) find the first witness degree w up to hi + 1, where a rank
+    stands in for a missing witness.  A rank with I_e(w - 1) = 0 settles
+    m_e = w - 1 (Fedder settles w - 1 = 0); only otherwise does bisection
+    search the ranks of [max(lo, 1), w - 1).
+
+    So m_e is certified by a rank (or Fedder at 0), and m_e + 1 by a witness
+    or a rank; the bounds only choose the probes, and an answer outside the
+    window raises InternalCheckError.  For lo >= 1, a window none of whose
+    degrees passes _check_counts is refused with lo's refusal before
+    G^(q-1) is powered; a refused rank raises.  The ring keeps only the
+    search's ranks and levels, the lower ones included.
     """
+    p = ring.field.p
+    q = level_q(p, e)  # refused first, so the levels below stay few
+    top = p * (m_threshold(ring, e - 1) + 1) if e > 1 else p
+    lo, hi = max(0, top - ring.delta * (p - 1) - 1), top - 1
+
+    def refusal(m: int) -> InstanceTooLarge | None:
+        try:
+            _check_counts(ring, q, m)
+        except InstanceTooLarge as err:
+            return err
+
+    if lo and all(refusal(m) for m in range(lo, hi + 1)):
+        raise refusal(lo)
     if not fedder_is_fsplit(ring, e):
         raise ValidationError(f"not F-split at level e={e}")
     level = ring.level(e)
-    scan_cap = (level.q - 1) * max(ring.fano_coindex, 1)
     level.masks  # a refused mask table raises before any scan
-    zero = 0  # the last degree known to be zero: I_e(0) = 0 by Fedder
 
     def nonzero(m: int) -> bool:
-        nonlocal zero
-        if b_dimension(ring, e, m) < ring.dim_R(m):
-            return True
-        zero = m  # the searches rank zeros in increasing order
-        return False
+        return b_dimension(ring, e, m) < ring.dim_R(m)
 
-    w = _first(lambda m: _has_zero_column(level, ring.restricted_basis(m)),
-               scan_cap + 1)
-    first = w  # the least degree known to be nonzero, or w
-    try:
-        if w > 1 and nonzero(w - 1):
-            first = w - 1
-            return _first(lambda m: m >= w - 1 or nonzero(m),
-                          scan_cap + 1) - 1
-    except InstanceTooLarge:
-        # every degree from w on holds a witness.  A refused rank at w - 1
-        # gives way to a gallop over the ranks below it; any later refusal
-        # to a linear scan from the last degree known to be zero
-        if first == w:
-            try:
-                first = _first(nonzero, w)
-            except InstanceTooLarge:
-                pass
-        first = next((m for m in range(zero + 1, first) if nonzero(m)),
-                     first)
-        if first < w:
-            return first - 1
-    if w > scan_cap:
+    def witness(m: int) -> bool:  # a rank stands in for one past hi
+        return (_has_zero_column(level, ring.restricted_basis(m))
+                or m > hi and nonzero(m))
+
+    start = max(lo, 1)
+    below, w = start - 1, start
+    while w <= hi + 1 and not witness(w):  # start, start + 1, start + 3, ...
+        below, w = w, min(2 * w - start + 1, hi + 2)
+    w = _bisect(witness, below, w)
+    if w > start and nonzero(w - 1):
+        w = _bisect(nonzero, start - 1, w - 1)
+    if w == lo or w > hi + 1:  # I_e(lo) != 0, or I_e(hi + 1) = 0
         raise InternalCheckError(
-            f"threshold scan passed the cap m={scan_cap} without finding "
-            f"I_e(m) != 0 at level e={e}")
+            f"m_e at level e={e} lies {'below' if w == lo else 'above'} "
+            f"its window [{lo}, {hi}] from m_(e-1)")
     return w - 1
 
 

@@ -104,7 +104,8 @@ class TestLevel:
 
     def test_powered_once_per_ring_and_level(self, monkeypatch):
         # the Fedder test, a rank, a threshold and a profile at level 2
-        # share one power of G
+        # share one power of G; the threshold also powers level 1, whose
+        # threshold places level 2's window
         ring = diagonal_hypersurface(3, 4, 2)
         powered, power = [], splitting.digit_power
 
@@ -116,7 +117,7 @@ class TestLevel:
         b = b_dimension(ring, 2, 3)
         assert m_threshold(ring, 2) == 8
         assert profile(ring, 2).b[3] == b
-        assert powered == [2]
+        assert powered == [2, 1]
         assert ring.level(2) is ring.level(2)
 
     def test_masks_and_keys_formed_on_first_use(self):
@@ -809,9 +810,11 @@ class TestSymmetryOrbits:
 
 class TestThresholds:
     def test_probe_lays_out_only_the_rank(self, monkeypatch):
-        # the witness scans at 1, 2, 4, 8, 16, 12, 10 and 9 find the first
-        # zero column at w = 9; only w - 1 = 8 is ranked, on a basis of its
-        # own, and no scan enumerates the target monomials of a layout
+        # level 1's window is [0, 2]: the witness scans at 1, 2 and 3 find
+        # the first zero column at 3, and only 2 is ranked.  Level 2's
+        # window is [4, 8]: the scans at 4, 5, 7, then 8 and 9 by
+        # bisection find it at 9, and only 8 is ranked.  Each rank lays out
+        # a basis of its own; no scan enumerates the target monomials
         ring = diagonal_hypersurface(3, 4, 2)
         built, laid_out = [], []
         basis = GradedHypersurface.restricted_basis
@@ -828,45 +831,58 @@ class TestThresholds:
                             counted_basis)
         monkeypatch.setattr(splitting, "_layout", counted_layout)
         assert m_threshold(ring, 2) == 8
-        assert {m for e, m in ring._b_cache} == {8}
-        assert built == [1, 2, 4, 8, 16, 12, 10, 9, 8]
-        assert laid_out == [8]
+        assert set(ring._b_cache) == {(1, 2), (2, 8)}
+        assert built == [1, 2, 3, 2, 4, 5, 7, 8, 9, 8]
+        assert laid_out == [2, 8]
 
     def test_refused_degree_keeps_no_cache(self, monkeypatch):
-        # m_threshold: the first zero column is at 25; the ranks at 24, at
-        # 16 (galloping) and at 14 (scanning linearly from 9) are refused by
-        # the work cap after their layouts are counted; profile: the
-        # pre-check refuses 14 after counting degrees 0..13, before any
-        # rank, so it leaves no rank behind
+        # m_threshold: level 2's window is [16, 24] and the first zero
+        # column is at 25, so the rank at 24, which the answer needs, is
+        # refused by the work cap after its layout is counted; only level
+        # 1's rank is kept.  profile: the pre-check refuses 14 after
+        # counting degrees 0..13, before any rank, so it keeps no rank
         monkeypatch.setattr(splitting, "WORK_CAP", 1e6)
-        for run, ranked in ((m_threshold, {1, 2, 4, 8, 9, 10, 11, 12, 13}),
-                            (profile, set())):
+        for run, m, ranked in ((m_threshold, 24, {(1, 4)}),
+                               (profile, 14, set())):
             ring = diagonal_hypersurface(5, 5, 2)
             with pytest.raises(InstanceTooLarge,
-                               match="at m=14: .* work cap"):
+                               match=f"at m={m}: .* work cap"):
                 run(ring, 2)
-            assert {m for _, m in ring._b_cache} == ranked
+            assert set(ring._b_cache) == ranked
 
-    def test_refused_rank_gallops_then_scans(self, monkeypatch):
-        # the rank at w - 1 = 24 is refused, so the search gallops over the
-        # ranks below it; 16 is refused too, so it scans linearly from the
-        # last zero degree, 8, and only the rank at 14, which the answer
-        # needs, raises
-        ring = diagonal_hypersurface(5, 5, 2)
-        checked = self.spy_caps(monkeypatch)
-        monkeypatch.setattr(splitting, "WORK_CAP", 1e6)
-        with pytest.raises(InstanceTooLarge, match="at m=14: .* work cap"):
-            m_threshold(ring, 2)
-        assert checked == [24, 1, 2, 4, 8, 16, 9, 10, 11, 12, 13, 14]
-
-    def test_refused_rank_at_w_minus_1_gallops(self, monkeypatch):
-        # x^2 + y^2 + z^2 at p = 7, e = 2 (m_e = 24, first zero column at
-        # w = 42) with only the rank at 41 refused: the gallop below 42
-        # finds m_e without that rank
+    @pytest.mark.parametrize("refuse,checked", [
+        pytest.param(27, [4, 2, 3, 28, 27], id="w-minus-1"),
+        pytest.param(23, [4, 2, 3, 28, 27, 20, 23], id="bisection")])
+    def test_refused_rank_in_window_raises(self, refuse, checked,
+                                           monkeypatch):
+        # x^2 + y^2 + z^2 at p = 7: level 2's window is [15, 27] and no
+        # scan up to 28 finds a zero column, so a rank certifies 28; a
+        # refused rank, at w - 1 = 27 or during the bisection below it,
+        # raises at once: no other degree is tried
         ring = diagonal_hypersurface(7, 3, 2)
-        checked = self.spy_caps(monkeypatch, refuse=41)
-        assert m_threshold(ring, 2) == 24
-        assert checked == [41, 1, 2, 4, 8, 16, 32, 24, 28, 26, 25]
+        spied = self.spy_caps(monkeypatch, refuse=refuse)
+        with pytest.raises(InstanceTooLarge, match=f"refused m={refuse}"):
+            m_threshold(ring, 2)
+        assert spied == checked
+
+    @pytest.mark.parametrize("ring,m1,side", [
+        # the F_3 quadric surface (m_1 = 2, m_2 = 8): a rank finds
+        # I_2(6) = 0 past the window [1, 5]; a zero column at 10 opens
+        # the window [10, 14]
+        pytest.param((3, 4, 2), 1, "above", id="Q2-p3-above"),
+        pytest.param((3, 4, 2), 4, "below", id="Q2-p3-below"),
+        # the conic over F_7 (m_2 = 24): the first zero column is at 42,
+        # and the ranks bisected below 41 find I_2(29) != 0 in [29, 41]
+        pytest.param((7, 3, 2), 5, "below", id="conic-p7-below")])
+    def test_window_that_misses_m_e_raises(self, ring, m1, side,
+                                           monkeypatch):
+        # a wrong threshold of level 1 moves level 2's window off m_2
+        ring, search = diagonal_hypersurface(*ring), splitting.m_threshold
+        monkeypatch.setattr(splitting, "m_threshold", lambda ring, e:
+                            m1 if e == 1 else search(ring, e))
+        with pytest.raises(InternalCheckError,
+                           match=f"m_e at level e=2 lies {side} its window"):
+            search(ring, 2)
 
     @staticmethod
     def spy_caps(monkeypatch, refuse=None) -> list[int]:
@@ -907,20 +923,24 @@ class TestThresholds:
         (3, 4, 2, 1), (3, 4, 2, 2), (5, 4, 2, 2), (3, 5, 2, 2),
         (5, 4, 3, 2)])
     def test_tight_threshold_ranks_only_m_e(self, p, v, delta, e):
-        # the first zero column is at m_e + 1, so one rank settles m_e
+        # at every level the first zero column is at m_e + 1, so one rank
+        # per level settles m_e
         ring = diagonal_hypersurface(p, v, delta)
-        m = m_threshold(ring, e)
-        assert set(ring._b_cache) == {(e, m)}
+        m_threshold(ring, e)
+        assert set(ring._b_cache) == {(k, m_threshold(ring, k))
+                                      for k in range(1, e + 1)}
 
     def test_loose_threshold_pays_one_rank_at_w_minus_1(self):
-        # x^2 + y^2 + z^2 at p = 7, e = 2: m_e = 24, the first zero column
-        # is at w = 42; past the rank at 41, the search ranks only the
-        # probes below 41 of a search on the ranks alone: 1, 2, 4, 8, 16,
-        # 32, then 24, 28, 26 and 25
+        # x^2 + y^2 + z^2 at p = 7: m_1 = 3 with its first zero column at
+        # w = 5, so level 1 ranks 4 and bisects 2 and 3 below it.  m_2 = 24
+        # in the window [15, 27]: no zero column up to 28, so a rank
+        # certifies 28; past the rank at 27 the bisection of [15, 27)
+        # ranks 20, 23, 25 and 24
         ring = diagonal_hypersurface(7, 3, 2)
         assert m_threshold(ring, 2) == 24
-        assert sorted(m for _, m in ring._b_cache) \
-            == [1, 2, 4, 8, 16, 24, 25, 26, 28, 32, 41]
+        assert sorted(ring._b_cache) == [
+            (1, 2), (1, 3), (1, 4),
+            (2, 20), (2, 23), (2, 24), (2, 25), (2, 27), (2, 28)]
 
     @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 1)])
     def test_quadric_threshold(self, p, e):
@@ -941,13 +961,39 @@ class TestThresholds:
         assert m_threshold(f_split_cubic(), 3) \
             == profile(f_split_cubic(), 3).m_e == 13
 
-    def test_quadric_surface_level_3(self):
-        # m_3 = 5^3 - 1 for the p=5 quadric surface, certified by the one
-        # rank at m = 124; its largest block is 43680 x 2016 with 6.4 M
-        # entries (the CI workflow also bounds this call's peak RSS)
+    def test_quadric_surface_level_3(self, monkeypatch):
+        # m_3 = 5^3 - 1 for the p=5 quadric surface, certified by one rank
+        # per level; the rank at m = 124 has a largest block of 43680 x
+        # 2016 with 6.4 M entries (the CI workflow also bounds this call's
+        # peak RSS).  Level 4's window [616, 624] passes the side cap
+        # nowhere, so it is refused before G^(624) is powered
         ring = diagonal_hypersurface(5, 4, 2)
         assert m_threshold(ring, 3) == 124
-        assert set(ring._b_cache) == {(3, 124)}
+        assert set(ring._b_cache) == {(1, 4), (2, 24), (3, 124)}
+
+        def unpowered(*args):
+            raise AssertionError("G^(q-1) was powered")
+        monkeypatch.setattr(splitting, "digit_power", unpowered)
+        with pytest.raises(InstanceTooLarge, match="at m=616: .* side cap"):
+            m_threshold(ring, 4)
+        assert set(ring._b_cache) == {(1, 4), (2, 24), (3, 124)}
+        assert sorted(ring._levels) == [1, 2, 3]
+
+    def test_window_over_the_caps_refused_unpowered(self, monkeypatch):
+        # the F_3 quadric surface at e = 6: levels 1 to 4 give m_4 = 80,
+        # and level 5's window [238, 242] passes the side cap nowhere, so
+        # it is refused before level 5 is powered
+        ring = diagonal_hypersurface(3, 4, 2)
+        powered, power = [], splitting.digit_power
+
+        def counted(G, e):
+            powered.append(e)
+            return power(G, e)
+        monkeypatch.setattr(splitting, "digit_power", counted)
+        with pytest.raises(InstanceTooLarge, match="at m=238: .* side cap"):
+            m_threshold(ring, 6)
+        assert sorted(powered) == [1, 2, 3, 4]
+        assert m_threshold(ring, 4) == 80
 
     def test_exponents_past_int16(self):
         # G^(p-1) = (x0 x1)^40008 has exponents past 2^15; x0 is a zero
