@@ -367,7 +367,10 @@ def digit_power(G: PolynomialFp, e: int) -> PolynomialFp:
 # lives in a float dtype holding exact small integers; trailing updates are
 # BLAS matmuls with the inner dimension chunked so that accumulated products
 # stay below the dtype's exact-integer range.  Pivot inverses are computed
-# by modular powering as the pivots appear.
+# by modular powering as the pivots appear.  One recursive unit-lower
+# triangular solve serves both LU's forward solve and the kernel's back
+# substitution, which it runs on the pivot triangle with its rows and
+# columns reversed.
 #
 # _BASE is both the width of the base cases and their delayed-reduction
 # bound (as in FFLAS-FFPACK): a base panel or triangular solve adds at most
@@ -409,18 +412,16 @@ def _mod_inplace(A: np.ndarray, p: int) -> np.ndarray:
     return A
 
 
-def _matmul_mod(X: np.ndarray, Y: np.ndarray, p: int, exact_cap: int) -> np.ndarray:
-    """(X @ Y) mod p with the inner dimension chunked for exactness."""
-    k = X.shape[1]
-    # room for kc products on top of an accumulator already reduced mod p
-    kc = (exact_cap - (p - 1)) // max(1, (p - 1) ** 2)
-    if k <= kc:
-        return _mod_inplace(X @ Y, p)
-    out = np.zeros((X.shape[0], Y.shape[1]), dtype=X.dtype)
-    for s in range(0, k, kc):
-        out += X[:, s:s + kc] @ Y[s:s + kc]
-        _mod_inplace(out, p)
-    return out
+def _sub_matmul_mod(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int,
+                    exact_cap: int) -> None:
+    """T <- (T - X @ Y) mod p in place, for T reduced mod p.  The inner
+    dimension is chunked so that a chunk's products, taken from a reduced
+    T, stay in the exact range."""
+    Y = np.ascontiguousarray(Y)
+    kc = (exact_cap - (p - 1)) // (p - 1) ** 2
+    for s in range(0, X.shape[1], kc):
+        T -= X[:, s:s + kc] @ Y[s:s + kc]
+        _mod_inplace(T, p)
 
 
 def _take_cols(A: np.ndarray, r0: int, r1: int, cols: list[int]) -> np.ndarray:
@@ -430,22 +431,22 @@ def _take_cols(A: np.ndarray, r0: int, r1: int, cols: list[int]) -> np.ndarray:
     return A[r0:r1][:, cols]
 
 
-def _trsm_unit_lower(L, invs, B, p, exact_cap) -> None:
+def _solve_unit_lower(L, B, p, exact_cap, invs=None) -> None:
     """Solve (D^-1 L) X = B in place on B, with L unit lower triangular and
-    D^-1 the recorded pivot-inverse row scalings."""
+    read only below its diagonal, and D^-1 the row scalings invs (none when
+    invs is None)."""
     k = L.shape[0]
     if k <= _BASE:
         # solved rows are reduced: a row adds < _BASE products below p^2
         for i in range(k):
-            B[i] = (B[i] - L[i, :i] @ B[:i]) % p * invs[i] % p
+            row = (B[i] - L[i, :i] @ B[:i]) % p
+            B[i] = row if invs is None else row * invs[i] % p
         return
     h = k // 2
-    _trsm_unit_lower(L[:h, :h], invs[:h], B[:h], p, exact_cap)
-    Bv = B[h:]
-    np.subtract(Bv, _matmul_mod(L[h:, :h], np.ascontiguousarray(B[:h]), p,
-                                exact_cap), out=Bv)
-    _mod_inplace(Bv, p)
-    _trsm_unit_lower(L[h:, h:], invs[h:], B[h:], p, exact_cap)
+    head, tail = (None, None) if invs is None else (invs[:h], invs[h:])
+    _solve_unit_lower(L[:h, :h], B[:h], p, exact_cap, head)
+    _sub_matmul_mod(B[h:], L[h:, :h], B[:h], p, exact_cap)
+    _solve_unit_lower(L[h:, h:], B[h:], p, exact_cap, tail)
 
 
 def _factor(A, p, r0, c0, c1, piv_cols, piv_invs, exact_cap) -> int:
@@ -497,15 +498,12 @@ def _factor(A, p, r0, c0, c1, piv_cols, piv_invs, exact_cap) -> int:
     if k1:
         pc = piv_cols[n0:]
         invs = np.array(piv_invs[n0:], dtype=A.dtype)
-        L11 = _take_cols(A, r0, r0 + k1, pc)
         B = A[r0:r0 + k1, mid:c1]
-        _trsm_unit_lower(L11, invs, B, p, exact_cap)
+        _solve_unit_lower(_take_cols(A, r0, r0 + k1, pc), B, p, exact_cap,
+                          invs)
         if r0 + k1 < m:
-            L21 = _take_cols(A, r0 + k1, m, pc)
-            T = A[r0 + k1:, mid:c1]
-            np.subtract(T, _matmul_mod(L21, np.ascontiguousarray(B), p,
-                                       exact_cap), out=T)
-            _mod_inplace(T, p)
+            _sub_matmul_mod(A[r0 + k1:, mid:c1], _take_cols(A, r0 + k1, m, pc),
+                            B, p, exact_cap)
     k2 = _factor(A, p, r0 + k1, mid, c1, piv_cols, piv_invs, exact_cap)
     return k1 + k2
 
@@ -528,21 +526,16 @@ def rank_fp_dense(A: np.ndarray, p: int) -> int:
     return len(_eliminate(A, p)[1])
 
 
-def _usolve_unit_upper(U, B, p, exact_cap) -> None:
-    """Solve U X = B in place on B, with U unit upper triangular."""
-    k = U.shape[0]
-    if k <= _BASE:
-        # as in _trsm_unit_lower, the rows already solved are reduced
-        for i in range(k - 1, -1, -1):
-            B[i] = (B[i] - U[i, i + 1:] @ B[i + 1:]) % p
-        return
-    h = k // 2
-    _usolve_unit_upper(U[h:, h:], B[h:], p, exact_cap)
-    Bv = B[:h]
-    np.subtract(Bv, _matmul_mod(U[:h, h:], np.ascontiguousarray(B[h:]), p,
-                                exact_cap), out=Bv)
-    _mod_inplace(Bv, p)
-    _usolve_unit_upper(U[:h, :h], B[:h], p, exact_cap)
+def _kernel_basis(n: int, piv: np.ndarray, free: np.ndarray, X: np.ndarray,
+                  p: int) -> np.ndarray:
+    """The kernel basis of an n-column matrix whose reduced echelon form has
+    pivot columns piv and the entries X (pivot rows x free columns) at its
+    free columns: the vector of free column f is 1 at f, 0 at the other free
+    columns and minus column f of X at the pivot columns."""
+    K = np.zeros((n, free.size), dtype=X.dtype)
+    K[piv] = np.remainder(-X, p)
+    K[free, np.arange(free.size)] = 1
+    return K
 
 
 def kernel_fp_dense(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
@@ -553,19 +546,17 @@ def kernel_fp_dense(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """
     n = A.shape[1]
     W, piv_cols, exact_cap = _eliminate(A, p)
-    r = len(piv_cols)
-    free_cols = np.setdiff1d(np.arange(n), piv_cols, assume_unique=True)
-    if not free_cols.size:
-        return r, np.zeros((n, 0), dtype=W.dtype)
-    # the first r rows hold the echelon form, except that entries at pivot
-    # columns below their own pivot store multipliers
-    Upp = np.triu(W[:r, piv_cols], 1) + np.eye(r, dtype=W.dtype)
-    F = W[:r, free_cols]
-    _usolve_unit_upper(Upp, F, p, exact_cap)  # F <- Upp^-1 * U_free
-    K = np.zeros((n, free_cols.size), dtype=W.dtype)
-    K[piv_cols] = np.remainder(-F, p)
-    K[free_cols, np.arange(free_cols.size)] = 1
-    return r, K
+    piv = np.array(piv_cols, dtype=np.intp)
+    free = np.setdiff1d(np.arange(n), piv, assume_unique=True)
+    # the first r rows hold the echelon form U, except that entries at pivot
+    # columns below their own pivot store multipliers, which the solve does
+    # not read.  U[:, piv] X = U[:, free] is unit upper triangular; with its
+    # rows and columns reversed it is unit lower, built contiguous here
+    rows = W[:piv.size][::-1]
+    X = rows[:, free]
+    if free.size:  # a full column rank needs no solve
+        _solve_unit_lower(rows[:, piv[::-1]], X, p, exact_cap)
+    return piv.size, _kernel_basis(n, piv, free, X[::-1], p)
 
 
 # ---------------------------------------------------------------------------
@@ -678,10 +669,6 @@ def kernel_fp_batched(mats: list[np.ndarray],
         r = int(rank[k])
         pc, pr = piv_cols[k, :r], piv_rows[k, :r]
         free = np.setdiff1d(np.arange(n), pc)
-        K = np.zeros((n, free.size), dtype=dtype)
-        # reduced echelon form: in the kernel vector of the free column f,
-        # the entry at pivot column i is minus pivot row i at f
-        K[pc] = np.remainder(-T[k][free][:, pr].T, p)
-        K[free, np.arange(free.size)] = 1
-        out[b] = (r, K)
+        # T[k] holds the reduced echelon form transposed
+        out[b] = (r, _kernel_basis(n, pc, free, T[k][free][:, pr].T, p))
     return out

@@ -44,7 +44,6 @@ class OracleConfig:
     max_target_monomials: int = 20000
     max_dim: int = 3
     max_lattice_points: int = 10 ** 5
-    seed: int = 20260825
 
 
 DEFAULT_CONFIG = OracleConfig()

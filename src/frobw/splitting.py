@@ -71,6 +71,7 @@ import numpy as np
 
 from .errors import InstanceTooLarge, InternalCheckError, ValidationError
 from .ffkernel import (
+    _EXACT,
     PolynomialFp,
     PrimeField,
     _batch_dtype,
@@ -710,12 +711,14 @@ def _certify(level: _Level, layouts: list[tuple[int, _Layout]]
     nonzero columns pick the engine: at most _BATCH_COLS go to
     kernel_fp_batched, ranked once the zero-padded stack (blocks x widest x
     tallest) plus the held nonzeros pass _BATCH_CELLS; wider blocks go one
-    at a time to rank_fp_dense (exact) or kernel_fp_dense (sketch).  Pivots
-    and reductions are per matrix, so a block's rank and kernel do not
-    depend on its batch.  A full-rank sketch is a proof, and so is a sketch
-    kernel that kills the true block; a block whose sketch fails its check
-    is eliminated exactly by rank_fp_dense, or refused (InstanceTooLarge)
-    when it passes DENSE_CELLS.
+    at a time to rank_fp_dense (exact) or kernel_fp_dense (sketch).  An
+    exact block is densified tall (_dense) for either engine.  Pivots and
+    reductions are per matrix, so a block's rank and kernel do not depend
+    on its batch.  A full-rank sketch is a proof, and so is a sketch kernel
+    that kills the true block; a block whose sketch fails its check is
+    eliminated exactly by rank_fp_dense, or refused (InstanceTooLarge) when
+    it passes DENSE_CELLS.  Every ranked block, from any engine, counts
+    through settle alone.
     """
     p = level.p
     total = {m: 0 for m, _ in layouts}
@@ -739,7 +742,7 @@ def _certify(level: _Level, layouts: list[tuple[int, _Layout]]
                     f"{ncols} block failed its kernel check, and eliminating "
                     f"the block exactly passes the dense cap of {DENSE_CELLS} "
                     f"cells")
-            rank = rank_fp_dense(_dense(true, tall=False), p)
+            rank = rank_fp_dense(_dense(true), p)
         total[m] += w * rank
 
     def flush() -> None:
@@ -766,7 +769,7 @@ def _certify(level: _Level, layouts: list[tuple[int, _Layout]]
             if sketch:
                 settle(m, w, *kernel_fp_dense(_sketch(level, m, blk), p), blk)
             else:
-                total[m] += w * rank_fp_dense(_dense(blk, tall=False), p)
+                settle(m, w, rank_fp_dense(_dense(blk), p), None, None)
             continue
         if sketch:
             A = _sketch(level, m, blk)
@@ -774,7 +777,7 @@ def _certify(level: _Level, layouts: list[tuple[int, _Layout]]
             queue.append((m, w, A, blk._replace(row_ranks=None)))
             held += blk.vals.size
         else:
-            A = _dense(blk, tall=True)
+            A = _dense(blk)
             queue.append((m, w, A, None))
         widest, tallest = max(widest, A.shape[1]), max(tallest, A.shape[0])
         if len(queue) * widest * tallest + held > _BATCH_CELLS:
@@ -784,14 +787,15 @@ def _certify(level: _Level, layouts: list[tuple[int, _Layout]]
     return total
 
 
-def _dense(blk: _Block, tall: bool) -> np.ndarray:
-    """The block as a dense matrix, transposed when that makes it tall
-    (for the batched engine) or wide (for the blocked engine, which runs
-    faster on the wide orientation); the rank is the same."""
+def _dense(blk: _Block) -> np.ndarray:
+    """The block as a dense matrix, transposed when that makes it tall; the
+    rank is the same.  Tall, it has min(rows, cols) columns, and the batched
+    engine takes one step per column; the blocked engine ran as fast on
+    either orientation (600-1100-column blocks at p=5)."""
     A = np.zeros(blk.shape, dtype=blk.vals.dtype)
     A[blk.rows, blk.cols] = blk.vals
     nrows, ncols = blk.shape
-    return A.T if (nrows < ncols if tall else nrows > ncols) else A
+    return A.T if nrows < ncols else A
 
 
 def _sketch(level: _Level, m: int, blk: _Block) -> np.ndarray:
@@ -844,18 +848,18 @@ def _kernel_verifies(blk: _Block, K: np.ndarray, p: int) -> bool:
     Exact: every entry of A and of K lies in [0, p), so every partial sum
     that a product forms, in any order, is a sum of some of one row's
     non-negative products.  It is at most that row's total, and so at most
-    longest * (p-1)^2 for the longest row's nonzero count.  float32 holds
-    every integer up to 2^24 and float64 every one up to 2^53: the chunks
-    run in float32 when that bound is below 2^24, else in float64, and past
-    2^53 - 1 the check is refused before any work."""
+    longest * (p-1)^2 for the longest row's nonzero count.  Each float
+    dtype of _EXACT holds every integer up to its cap: the chunks run in the
+    first one whose cap holds that bound, and past float64's cap the check
+    is refused before any work."""
     nrows, ncols = blk.shape
     longest = int(np.bincount(blk.rows, minlength=1).max())
     bound = longest * (p - 1) ** 2
-    if bound > 2 ** 53 - 1:
+    dtype = next((d for d, cap in _EXACT if bound <= cap), None)
+    if dtype is None:
         raise InstanceTooLarge(
             f"prime too large: verifying a kernel over F_{p} against rows "
             f"of {longest} entries leaves the exact range of float64")
-    dtype = np.float32 if bound < 2 ** 24 else np.float64
     K = K.astype(dtype)
     # at most nrows, so that row offsets stay in the dtype of blk.rows
     step = max(1, min(nrows, _CHECK_CELLS // ncols))
@@ -915,10 +919,12 @@ def m_threshold(ring: GradedHypersurface, e: int) -> int:
     lt(G)_k, then for j != k every product of x_j u with a term of G^(q-1)
     keeps the exponent of u's product that passed q - 1.  Galloping up
     from max(lo, 1), then bisection, on the zero-column scans (linear work,
-    no rank) find the first witness degree w up to hi + 1, where a rank
-    stands in for a missing witness.  A rank with I_e(w - 1) = 0 settles
-    m_e = w - 1 (Fedder settles w - 1 = 0); only otherwise does bisection
-    search the ranks of [max(lo, 1), w - 1).
+    no rank) find the first witness degree w up to hi + 1.  A rank with
+    I_e(w - 1) = 0 settles m_e = w - 1 (Fedder settles w - 1 = 0); only
+    otherwise does bisection search the ranks of [max(lo, 1), w - 1).  With
+    no witness up to hi + 1, hi is ranked as w - 1 would be, and hi + 1 is
+    ranked only when I_e(hi) = 0: it stands in for the witness, and when it
+    is zero too, m_e lies above the window.
 
     So m_e is certified by a rank (or Fedder at 0), and m_e + 1 by a witness
     or a rank; the bounds only choose the probes, and an answer outside the
@@ -948,17 +954,19 @@ def m_threshold(ring: GradedHypersurface, e: int) -> int:
     def nonzero(m: int) -> bool:
         return b_dimension(ring, e, m) < ring.dim_R(m)
 
-    def witness(m: int) -> bool:  # a rank stands in for one past hi
-        return (_has_zero_column(level, ring.restricted_basis(m))
-                or m > hi and nonzero(m))
+    def witness(m: int) -> bool:
+        return _has_zero_column(level, ring.restricted_basis(m))
 
     start = max(lo, 1)
     below, w = start - 1, start
     while w <= hi + 1 and not witness(w):  # start, start + 1, start + 3, ...
         below, w = w, min(2 * w - start + 1, hi + 2)
-    w = _bisect(witness, below, w)
-    if w > start and nonzero(w - 1):
-        w = _bisect(nonzero, start - 1, w - 1)
+    w = _bisect(witness, below, w)  # hi + 2: no witness up to hi + 1
+    top = min(w, hi + 1)
+    if top > start and nonzero(top - 1):
+        w = _bisect(nonzero, start - 1, top - 1)
+    elif w > hi + 1 and nonzero(hi + 1):
+        w = hi + 1
     if w == lo or w > hi + 1:  # I_e(lo) != 0, or I_e(hi + 1) = 0
         raise InternalCheckError(
             f"m_e at level e={e} lies {'below' if w == lo else 'above'} "
@@ -1111,12 +1119,10 @@ def fano_report(ring: GradedHypersurface, e_max: int,
                 threads: int = 1) -> FanoReport:
     """Profiles for e = 1..e_max with anticanonically normalized invariants;
     threads is accepted and has no effect, as in profile."""
+    # non-Fano, e_max < 1 and a top level over the caps are refused before
+    # level 1 is ranked
+    check_level(ring, e_max)
     s = ring.fano_coindex
-    if s <= 0:
-        raise ValidationError(f"non-Fano: v-delta = {s}")
-    if e_max < 1:
-        raise ValidationError(f"e_max must be >= 1, got {e_max}")
-    check_level(ring, e_max)  # refused before level 1 is ranked
     profiles: list[SplittingProfile] = []
     prev = None
     for e in range(1, e_max + 1):

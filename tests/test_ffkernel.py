@@ -381,7 +381,11 @@ class TestRankEngine:
             r, K = kernel_fp_dense(A.astype(np.float64), p)
             assert r == expect
             assert K.shape == (cols, cols - expect)
-            assert not ((A @ K.astype(np.int64)) % p).any()
+            Ki = K.astype(np.int64)
+            assert ((Ki >= 0) & (Ki < p)).all()
+            assert not ((A @ Ki) % p).any()
+            if K.size:
+                assert _naive_rank(Ki.T.copy(), p) == cols - expect
 
     def test_rank_equals_transpose_rank(self):
         npr = np.random.RandomState(42)
@@ -506,6 +510,23 @@ class TestBatchedEngine:
             assert not ((A.astype(object) @ Ki.astype(object)) % p).any()
             if K.size:
                 assert _naive_rank(Ki.T.copy(), p) == cols - expect
+
+    @pytest.mark.parametrize("p", [2, 5, 101, 719])
+    def test_same_kernel_basis_as_dense_engine(self, p):
+        # the basis with an identity on the free rows is unique, so both
+        # engines write the same K; the zero matrix has rank 0 and every
+        # column free, the random 30 x 12 one full column rank
+        npr = np.random.RandomState(p)
+        mats = [np.zeros((6, 9)), _test_matrix(npr, p, 30, 12, "random"),
+                *(_test_matrix(npr, p, int(npr.randint(1, 15)),
+                               int(npr.randint(1, 15)), kind)
+                  for kind in ("low-rank", "duplicate") for _ in range(4))]
+        batched = kernel_fp_batched([A.astype(np.float64) for A in mats], p)
+        assert batched[0][0] == 0 and batched[1][1].shape == (12, 0)
+        for A, (rank, K) in zip(mats, batched):
+            r, Kd = kernel_fp_dense(A.astype(np.float64), p)
+            assert r == rank
+            assert np.array_equal(Kd, K)
 
     def test_float_dtype_by_prime(self):
         assert ffkernel._batch_dtype(LARGEST_F32_PRIME)[0] is np.float32

@@ -851,14 +851,14 @@ class TestThresholds:
             assert set(ring._b_cache) == ranked
 
     @pytest.mark.parametrize("refuse,checked", [
-        pytest.param(27, [4, 2, 3, 28, 27], id="w-minus-1"),
-        pytest.param(23, [4, 2, 3, 28, 27, 20, 23], id="bisection")])
+        pytest.param(27, [4, 2, 3, 27], id="w-minus-1"),
+        pytest.param(23, [4, 2, 3, 27, 20, 23], id="bisection")])
     def test_refused_rank_in_window_raises(self, refuse, checked,
                                            monkeypatch):
         # x^2 + y^2 + z^2 at p = 7: level 2's window is [15, 27] and no
-        # scan up to 28 finds a zero column, so a rank certifies 28; a
-        # refused rank, at w - 1 = 27 or during the bisection below it,
-        # raises at once: no other degree is tried
+        # scan up to 28 finds a zero column, so hi = 27 is ranked first; a
+        # refused rank, at 27 or during the bisection below it, raises at
+        # once: no other degree is tried
         ring = diagonal_hypersurface(7, 3, 2)
         spied = self.spy_caps(monkeypatch, refuse=refuse)
         with pytest.raises(InstanceTooLarge, match=f"refused m={refuse}"):
@@ -933,14 +933,14 @@ class TestThresholds:
     def test_loose_threshold_pays_one_rank_at_w_minus_1(self):
         # x^2 + y^2 + z^2 at p = 7: m_1 = 3 with its first zero column at
         # w = 5, so level 1 ranks 4 and bisects 2 and 3 below it.  m_2 = 24
-        # in the window [15, 27]: no zero column up to 28, so a rank
-        # certifies 28; past the rank at 27 the bisection of [15, 27)
-        # ranks 20, 23, 25 and 24
+        # in the window [15, 27]: no zero column up to 28, so hi = 27 is
+        # ranked; it is nonzero, so 28 is not, and the bisection of
+        # [15, 27) ranks 20, 23, 25 and 24
         ring = diagonal_hypersurface(7, 3, 2)
         assert m_threshold(ring, 2) == 24
         assert sorted(ring._b_cache) == [
             (1, 2), (1, 3), (1, 4),
-            (2, 20), (2, 23), (2, 24), (2, 25), (2, 27), (2, 28)]
+            (2, 20), (2, 23), (2, 24), (2, 25), (2, 27)]
 
     @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 1)])
     def test_quadric_threshold(self, p, e):
