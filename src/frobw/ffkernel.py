@@ -14,7 +14,8 @@ product monomial, and equal keys are merged by sorting.
 
 from __future__ import annotations
 
-from math import comb, prod
+import functools
+from math import comb, isqrt, prod
 
 import numpy as np
 
@@ -120,6 +121,8 @@ class PolynomialFp:
 
     Terms live in a dict mapping exponent tuples to nonzero coefficients in
     [1, p); outputs of arithmetic are normalized (no zero coefficients).
+    Outputs of arithmetic are built from an exponent matrix and a coefficient
+    vector (arrays) and form the dict only when it is first read.
     """
 
     def __init__(self, field: PrimeField, nvars: int,
@@ -139,13 +142,41 @@ class PolynomialFp:
             clean[tuple(int(a) for a in exps)] = c
         self.terms = clean
 
+    @classmethod
+    def _from_arrays(cls, field: PrimeField, nvars: int, exps: np.ndarray,
+                     coeffs: np.ndarray) -> "PolynomialFp":
+        """The polynomial of distinct exponent rows and coefficients already
+        reduced into [1, p), as arithmetic produces them: nothing is checked
+        again."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.nvars = nvars
+        poly.arrays = (exps, coeffs)
+        return poly
+
+    @functools.cached_property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        exps, coeffs = self.arrays
+        return dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
+
+    @functools.cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The terms as an (n x nvars) int64 exponent matrix and an int64
+        coefficient vector, row for row."""
+        n = len(self.terms)
+        return (np.array(list(self.terms), dtype=np.int64).reshape(
+                    n, self.nvars),
+                np.fromiter(self.terms.values(), dtype=np.int64, count=n))
+
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return len(self) == 0
 
     def __len__(self) -> int:
-        return len(self.terms)
+        if "terms" in self.__dict__:
+            return len(self.terms)
+        return len(self.arrays[1])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolynomialFp)
@@ -200,45 +231,26 @@ class PolynomialFp:
         # times those of G, so one radix serves the whole ladder
         radix = [n * a + 1 for a in self._max_exponents()]
         places = _place_values(radix)
-        p = self.field.p
-        base_k, base_c = self._encode(places)
-        keys, coeffs = np.zeros(1, np.int64), np.ones(1, np.int64)
-        while n:
-            if n & 1:
-                keys, coeffs = _mul_keys(keys, coeffs, base_k, base_c, p)
-            n >>= 1
-            if n:
-                base_k, base_c = _mul_keys(base_k, base_c, base_k, base_c, p)
+        keys, coeffs = _pow_keys(*self._encode(places), n, self.field.p)
         return self._decode(keys, coeffs, radix, places)
 
-    def frobenius(self, i: int) -> "PolynomialFp":
-        """Apply the i-th Frobenius: multiply every exponent by p^i.
-
-        Coefficients are fixed because c^(p^i) = c on the prime field.
-        """
-        q = self.field.p ** i
-        return PolynomialFp(self.field, self.nvars,
-                            {tuple(a * q for a in e): c
-                             for e, c in self.terms.items()})
-
     def _max_exponents(self) -> list[int]:
+        if "arrays" in self.__dict__:
+            exps = self.arrays[0]
+            return exps.max(axis=0).tolist() if len(exps) else [0] * self.nvars
         if not self.terms:
             return [0] * self.nvars
         return [max(col) for col in zip(*self.terms)]
 
     def _encode(self, places: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The terms as int64 (key, coefficient) arrays."""
-        n = len(self.terms)
-        exps = np.array(list(self.terms), dtype=np.int64).reshape(n, self.nvars)
-        return (exps @ places,
-                np.fromiter(self.terms.values(), dtype=np.int64, count=n))
+        exps, coeffs = self.arrays
+        return exps @ places, coeffs
 
     def _decode(self, keys: np.ndarray, coeffs: np.ndarray,
                 radix: list[int], places: np.ndarray) -> "PolynomialFp":
         exps = keys[:, None] // places % np.array(radix, dtype=np.int64)
-        return PolynomialFp(self.field, self.nvars,
-                            dict(zip(map(tuple, exps.tolist()),
-                                     coeffs.tolist())))
+        return PolynomialFp._from_arrays(self.field, self.nvars, exps, coeffs)
 
     def _check_compatible(self, other: "PolynomialFp") -> None:
         if other.field != self.field or other.nvars != self.nvars:
@@ -270,39 +282,114 @@ def _mul_keys(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray,
     one mixed radix, as sorted distinct keys with nonzero coefficients.
 
     The outer sums of the keys and the products of the coefficients mod p
-    are formed _MUL_CHUNK cells at a time and merged into the running sum.
-    Chunks are batched until they hold as many cells as the running sum, so
-    a product with few collisions is not re-sorted once per chunk.  Every
-    value stays exact in int64: coefficients are below p < 2^31.
+    are formed _MUL_CHUNK cells at a time and merged into the running sum
+    (_merge_chunks).  Every value stays exact in int64: coefficients are
+    below p < 2^31.
     """
-    if ka.size == 0 or kb.size == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
     if ka.size > kb.size:
         ka, ca, kb, cb = kb, cb, ka, ca
-    step = max(1, _MUL_CHUNK // kb.size)
+    step = max(1, _MUL_CHUNK // max(1, kb.size))
+    return _merge_chunks((((ka[i:i + step, None] + kb).ravel(),
+                           (ca[i:i + step, None] * cb).ravel() % p)
+                          for i in range(0, ka.size, step)), p)
+
+
+def _merge_chunks(chunks, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of the (key, coefficient) chunks, as sorted distinct keys with
+    nonzero coefficients.  Chunks are batched until they hold as many terms
+    as the running sum, so a sum with few collisions is not re-sorted once
+    per chunk."""
     keys, coeffs = np.zeros(0, np.int64), np.zeros(0, np.int64)
     batch_k, batch_c, pending = [], [], 0
-    for i in range(0, ka.size, step):
-        batch_k.append((ka[i:i + step, None] + kb).ravel())
-        batch_c.append((ca[i:i + step, None] * cb).ravel() % p)
-        pending += batch_k[-1].size
-        if pending >= keys.size or i + step >= ka.size:
+    for k, c in chunks:
+        batch_k.append(k)
+        batch_c.append(c)
+        pending += k.size
+        if pending >= keys.size:
             keys, coeffs = _merge_terms([keys, *batch_k], [coeffs, *batch_c],
                                         p)
             batch_k, batch_c, pending = [], [], 0
+    if batch_k:
+        keys, coeffs = _merge_terms([keys, *batch_k], [coeffs, *batch_c], p)
     return keys, coeffs
 
 
 def _merge_terms(keys: list[np.ndarray], coeffs: list[np.ndarray],
                  p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the coefficients of equal keys mod p and drop the zero sums."""
+    """Sum the coefficients of equal keys mod p and drop the zero sums.  The
+    sort need not be stable: integer sums do not depend on their order."""
     k = np.concatenate(keys)
-    order = np.argsort(k, kind="stable")
+    order = np.argsort(k)
     k = k[order]
     starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
     sums = np.add.reduceat(np.concatenate(coeffs)[order], starts) % p
     keep = sums != 0
     return k[starts[keep]], sums[keep]
+
+
+def _pow_keys(keys: np.ndarray, coeffs: np.ndarray, n: int,
+              p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-th power of a (key, coefficient) polynomial by binary powering,
+    in a radix that holds the exponents of the n-th power."""
+    out_k, out_c = np.zeros(1, np.int64), np.ones(1, np.int64)
+    while n:
+        if n & 1:
+            out_k, out_c = _mul_keys(out_k, out_c, keys, coeffs, p)
+        n >>= 1
+        if n:
+            keys, coeffs = _mul_keys(keys, coeffs, keys, coeffs, p)
+    return out_k, out_c
+
+
+def _cumprod_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """The running products of the residues a mod p, in about 2 sqrt(n)
+    numpy steps: running products along the rows of a near-square
+    reshape, then each row times the product of all rows before it."""
+    n = a.size
+    w = max(1, isqrt(n))
+    rows = -(-n // w)
+    x = np.ones(rows * w, np.int64)
+    x[:n] = a
+    x = x.reshape(rows, w)
+    for j in range(1, w):
+        x[:, j] = x[:, j] * x[:, j - 1] % p
+    head = np.ones(rows, np.int64)
+    if rows > 1:
+        head[1:] = _cumprod_mod(x[:-1, -1], p)
+    return (x * head[:, None] % p).ravel()[:n]
+
+
+def _multinomial_keys(keys: np.ndarray, coeffs: np.ndarray,
+                      p: int) -> tuple[np.ndarray, np.ndarray]:
+    """G^(p-1) for G given as (key, coefficient) arrays of t terms, in a
+    radix that holds G^(p-1), by the multinomial theorem (see digit_power).
+
+    The multi-indices k come from exponent_array(t, p - 1) in runs of
+    their last entry of about _MUL_CHUNK rows each, merged as _mul_keys
+    merges.  The coefficient of k is (p-1)! prod_i c_i^k_i / k_i!, read
+    from one table per term: T[i, k] = c_i^k / k!, with 1/k! = (-1)^(k+1)
+    (p-1-k)! by Wilson's theorem and (p-1)! = -1."""
+    n, t = p - 1, keys.size
+    if t == 1:  # c^(p-1) = 1: no table
+        return keys * n, np.ones(1, np.int64)
+    k = np.arange(p, dtype=np.int64)
+    fact = _cumprod_mod(np.maximum(k, 1), p)
+    inv_fact = fact[::-1] * np.where(k % 2 == 1, 1, p - 1) % p
+    table = np.stack([_cumprod_mod(np.r_[1, np.full(n, c)], p) * inv_fact % p
+                      for c in coeffs.tolist()])
+
+    def chunks():
+        j = 0
+        while j <= n:
+            # the run with last entry j is the longest of those from j on
+            step = max(1, _MUL_CHUNK // n_monomials(t - 1, n - j))
+            K = exponent_array(t, n, last=range(j, j + step))
+            c = table[0, K[:, 0]]
+            for i in range(1, t):
+                c = c * table[i, K[:, i]] % p
+            yield K @ keys, p - c
+            j += step
+    return _merge_chunks(chunks(), p)
 
 
 def power_term_bound(G: PolynomialFp, n: int) -> int:
@@ -337,27 +424,44 @@ def level_q(p: int, e: int) -> int:
 
 
 def digit_power(G: PolynomialFp, e: int) -> PolynomialFp:
-    """G^(p^e - 1) via the Frobenius-digit factorization
-    prod_{i=0}^{e-1} Frob^i(G^(p-1)).
+    """G^(q-1), q = p^e, on (key, coefficient) arrays decoded once at the end.
 
-    The identity uses p^e - 1 = sum_i (p-1) p^i and Frob^i(h) = h^(p^i) on
-    prime-field coefficients.  The partial products are G^(p^k - 1) for
-    k <= e, so their term counts are bounded by both the bound for
-    G^(p^e - 1) and the e-th power of the bound for G^(p-1); the smaller one
-    is checked against POWER_TERM_CAP before any product, and p^e >= 2^63
-    before either bound is formed (level_q).
+    Digits: q - 1 = sum_{i<e} (p-1) p^i and Frob^i(h) = h^(p^i) on
+    prime-field coefficients give G^(q-1) = prod_{i<e} Frob^i(G^(p-1)).  All
+    keys share the radix (q-1) max_i + 1 in coordinate i, where max_i is
+    G's largest exponent of x_i; it holds the exponents of every partial
+    product G^(p^k - 1), k <= e, without a carry.  Keys are linear in the
+    exponents, so Frob^i multiplies every key by p^i.
+
+    Base: by the multinomial theorem, G^(p-1) = sum over |k| = p - 1 of
+    (p-1)!/prod k_i! * prod c_i^k_i * x^(sum k_i w_i), for the terms c_i x^w_i
+    of G.  Every k_i < p, so each k_i! is a unit mod p.  This path forms
+    C(p-2+t, t-1) rows for the t terms of G, so it is taken when that count
+    equals power_term_bound(G, p-1), and never forms more rows than the cap
+    admits; otherwise G^(p-1) is powered by the ladder on keys.
+
+    Caps: the partial products have term counts bounded both by the bound
+    for G^(q-1) and by the e-th power of the bound for G^(p-1); the smaller
+    one is checked against POWER_TERM_CAP before any product, and
+    p^e >= 2^63 before either bound is formed (level_q).
     """
     if G.is_zero():
         raise ValidationError("digit_power of the zero polynomial")
     p = G.field.p
     q = level_q(p, e)
-    _check_term_bound(min(power_term_bound(G, p - 1) ** e,
-                          power_term_bound(G, q - 1)), q - 1)
-    base = G.pow(p - 1)
-    result = base
+    base_bound = power_term_bound(G, p - 1)
+    _check_term_bound(min(base_bound ** e, power_term_bound(G, q - 1)), q - 1)
+    radix = [(q - 1) * a + 1 for a in G._max_exponents()]
+    places = _place_values(radix)
+    keys, coeffs = G._encode(places)
+    if n_monomials(len(G), p - 1) == base_bound:
+        base_k, base_c = _multinomial_keys(keys, coeffs, p)
+    else:
+        base_k, base_c = _pow_keys(keys, coeffs, p - 1, p)
+    keys, coeffs = base_k, base_c
     for i in range(1, e):
-        result = result.mul(base.frobenius(i))
-    return result
+        keys, coeffs = _mul_keys(keys, coeffs, base_k * p ** i, base_c, p)
+    return G._decode(keys, coeffs, radix, places)
 
 
 # ---------------------------------------------------------------------------

@@ -471,14 +471,12 @@ class _Level:
         self.delta = ring.delta
         self.e = e
         self.q = q = level_q(p, e)
-        items = sorted((exps, c) for exps, c
-                       in digit_power(ring.G, e).terms.items()
-                       if max(exps) < q)
-        self.W = np.array([exps for exps, _ in items],
-                          dtype=np.min_scalar_type(q - 1)).reshape(
-                              len(items), self.v)
-        self.cw = np.array([c for _, c in items],
-                           dtype=np.min_scalar_type(p - 1))
+        exps, coeffs = digit_power(ring.G, e).arrays
+        keep = exps.max(axis=1) < q
+        exps, coeffs = exps[keep], coeffs[keep]
+        order = np.lexsort(exps.T[::-1])
+        self.W = exps[order].astype(np.min_scalar_type(q - 1))
+        self.cw = coeffs[order].astype(np.min_scalar_type(p - 1))
 
     @functools.cached_property
     def masks(self) -> np.ndarray:
@@ -1058,6 +1056,10 @@ def membership_check(ring: GradedHypersurface, e: int,
     """Whether f lies in I_e(deg f): every monomial of f * G^(q-1) must be
     divisible by some x_i^q.
 
+    Only the terms below q of f and of G^(q-1) (the level's W and cw) are
+    multiplied: a monomial r with every exponent below q is u + w only for
+    u <= r and w <= r, so its coefficient in f * G^(q-1) is the same.
+
     Elements of (G) are vacuous members and are flagged.
     """
     q = level_q(ring.field.p, e)
@@ -1067,8 +1069,13 @@ def membership_check(ring: GradedHypersurface, e: int,
         raise ValidationError("zero element: membership is vacuous")
     if f.homogeneous_degree is None:
         raise ValidationError("element must be homogeneous")
-    prod = f.mul(digit_power(ring.G, e))
-    member = all(max(exps) >= q for exps in prod.terms)
+    level = ring.level(e)
+    low = PolynomialFp(ring.field, ring.v, {u: c for u, c in f.terms.items()
+                                            if max(u) < q})
+    exps, _ = low.mul(PolynomialFp._from_arrays(
+        ring.field, ring.v, level.W.astype(np.int64),
+        level.cw.astype(np.int64))).arrays
+    member = not (exps < q).all(axis=1).any()
     return MembershipResult(member, _reduce_mod_G(ring, f).is_zero())
 
 

@@ -153,11 +153,6 @@ class TestPolynomialFp:
         # (x+y)^3 = x^3 + y^3 over F_3
         assert f.pow(3).terms == {(3, 0): 1, (0, 3): 1}
 
-    def test_frobenius_scales_exponents(self):
-        F = PrimeField(5)
-        f = PolynomialFp(F, 2, {(1, 2): 3})
-        assert f.frobenius(2).terms == {(25, 50): 3}
-
 
 class TestDigitPower:
     @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
@@ -346,6 +341,56 @@ class TestPowerBound:
         with pytest.raises(InstanceTooLarge, match="power too large"):
             digit_power(self.conic(1000003), 1)
         assert not calls
+
+    def test_multinomial_base_makes_no_product(self, monkeypatch):
+        # the conic's G^100 over F_101: 5151 multi-indices, 5151 terms
+        G = self.conic(101)
+        expected = G.pow(100)
+        calls = self.spy(monkeypatch)
+        assert digit_power(G, 1) == expected
+        assert not calls
+
+
+class TestBasePowerPath:
+    """digit_power forms G^(p-1) by the multinomial theorem when its
+    C(p-2+t, t-1) multi-indices are no more than power_term_bound(G, p-1),
+    and by the ladder otherwise; both sides agree with the naive power and
+    with G.pow."""
+
+    def paths(self, monkeypatch):
+        taken = []
+        for name in ("_multinomial_keys", "_pow_keys"):
+            def spied(*args, _name=name, _fn=getattr(ffkernel, name)):
+                taken.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(ffkernel, name, spied)
+        return taken
+
+    @pytest.mark.parametrize("p,e,terms,path", [
+        # x^2 + xy + y^2: C(p+1, 2) multi-indices, 2p - 1 monomials
+        (3, 1, {(2, 0): 1, (1, 1): 1, (0, 2): 1}, "_pow_keys"),
+        (5, 2, {(2, 0): 1, (1, 1): 1, (0, 2): 1}, "_pow_keys"),
+        (7, 1, {(2, 0): 1, (1, 1): 4, (0, 2): 2}, "_pow_keys"),
+        (5, 1, {(2, 0, 0): 1, (0, 2, 0): 3, (0, 0, 2): 4},
+         "_multinomial_keys"),
+        (3, 2, {(2, 0, 0): 2, (0, 2, 0): 1, (0, 0, 2): 1},
+         "_multinomial_keys"),
+        # inhomogeneous: the bound is the multi-index count itself
+        (5, 1, {(1, 0): 2, (0, 1): 1, (0, 0): 3}, "_multinomial_keys"),
+        (3, 2, {(2, 1): 1, (1, 0): 2, (0, 0): 1}, "_multinomial_keys"),
+        (2, 2, {(1, 0): 1, (0, 1): 1, (1, 1): 1}, "_multinomial_keys"),
+        # one term: c^(p-1) = 1
+        (7, 2, {(1, 2): 3}, "_multinomial_keys"),
+    ])
+    def test_both_paths_match_naive_power(self, monkeypatch, p, e, terms,
+                                          path):
+        G = PolynomialFp(PrimeField(p), len(next(iter(terms))), terms)
+        q = p ** e
+        expected = _naive_power(G.terms, q - 1, G.nvars, p)
+        assert G.pow(q - 1).terms == expected
+        taken = self.paths(monkeypatch)
+        assert digit_power(G, e).terms == expected
+        assert taken == [path]
 
 
 def _naive_rank(A, p):

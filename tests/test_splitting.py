@@ -1,6 +1,8 @@
 """Tests for the graded splitting-subspace engine."""
 
 import hashlib
+import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +16,7 @@ import frobw.splitting as splitting
 from frobw.errors import InstanceTooLarge, InternalCheckError, ValidationError
 from frobw.ffkernel import PolynomialFp, PrimeField, exponent_array
 from frobw.frozen_values import FROZEN
-from frobw.oracle import naive_b_dimension
+from frobw.oracle import _naive_multiply, naive_b_dimension
 from frobw.splitting import (
     GradedHypersurface,
     b_dimension,
@@ -119,6 +121,26 @@ class TestLevel:
         assert profile(ring, 2).b[3] == b
         assert powered == [2, 1]
         assert ring.level(2) is ring.level(2)
+
+    @pytest.mark.parametrize("ring,e", [
+        pytest.param(lambda: diagonal_hypersurface(5, 4, 3), 2,
+                     id="cubic-p5-e2"),
+        pytest.param(ungraded_quadric, 2, id="ungraded-p3-e2"),
+        pytest.param(lambda: diagonal_hypersurface(101, 3, 2), 1,
+                     id="conic-p101")])
+    def test_terms_are_the_sorted_terms_below_q(self, ring, e):
+        # W and cw are the terms of G^(q-1) below q in tuple order, in the
+        # smallest unsigned dtypes that hold q - 1 and p - 1
+        ring = ring()
+        level = ring.level(e)
+        p, q = ring.field.p, level.q
+        items = sorted((u, c) for u, c in
+                       splitting.digit_power(ring.G, e).terms.items()
+                       if max(u) < q)
+        assert level.W.dtype == np.min_scalar_type(q - 1)
+        assert level.cw.dtype == np.min_scalar_type(p - 1)
+        assert level.W.tolist() == [list(u) for u, _ in items]
+        assert level.cw.tolist() == [c for _, c in items]
 
     def test_masks_and_keys_formed_on_first_use(self):
         # the Fedder test forms neither; a threshold that a zero column
@@ -1160,6 +1182,55 @@ class TestFedderAndMembership:
         bad = PolynomialFp(F, 4, {(1, 0, 0, 0): 1, (2, 0, 0, 0): 1})
         with pytest.raises(ValidationError):
             membership_check(cubic_p5, 1, bad)
+
+    @pytest.mark.parametrize("e", [1, 2])
+    @pytest.mark.parametrize("ring", [
+        lambda: diagonal_hypersurface(3, 3, 2),
+        ungraded_quadric,
+        lambda: GradedHypersurface(
+            PrimeField(5), ("x0", "x1", "x2"),
+            PolynomialFp(PrimeField(5), 3,
+                         {(2, 0, 0): 1, (1, 1, 0): 2, (0, 1, 1): 3})),
+    ], ids=["conic-p3", "ungraded-quadric-p3", "p5-conic"])
+    def test_membership_matches_its_definition(self, ring, e):
+        # every monomial of f * G^(q-1), formed by the oracle's dict double
+        # loop, must be divisible by some x_i^q
+        ring = ring()
+        p, v, q = ring.field.p, ring.v, ring.field.p ** e
+        power = {(0,) * v: 1}
+        for _ in range(q - 1):
+            power = _naive_multiply(power, ring.G.terms, p)
+        rng = random.Random(q * v)
+        seen = Counter()
+        for _ in range(24):
+            d = rng.randint(0, (q - 1) * (v - ring.delta) + 1)
+            mons = exponent_array(v, d).tolist()
+            f = PolynomialFp(ring.field, v, {
+                tuple(rng.choice(mons)): rng.randint(1, p - 1)
+                for _ in range(rng.randint(1, 3))})
+            in_G = rng.random() < 0.25
+            if in_G:
+                f = f.mul(ring.G)
+            if f.is_zero():
+                continue
+            member = all(max(u) >= q for u in
+                         _naive_multiply(f.terms, power, p))
+            res = membership_check(ring, e, f)
+            assert res.member == member, (f.terms, e)
+            if in_G:
+                assert res.member and res.in_principal_ideal
+            seen[member] += 1
+        assert seen[True] and seen[False]
+
+    def test_large_prime_member_answered_fast(self):
+        # G^(p-1) of x^2 + y^2 over F_100003 has 100003 terms, within the
+        # term cap; the ladder took over a minute to power it
+        F = PrimeField(100003)
+        ring = GradedHypersurface(F, ("x", "y"),
+                                  PolynomialFp(F, 2, {(2, 0): 1, (0, 2): 1}))
+        t0 = time.monotonic()
+        assert membership_check(ring, 1, PolynomialFp(F, 2, {(1, 1): 1}))
+        assert time.monotonic() - t0 < 5
 
 
 class TestFanoReport:
