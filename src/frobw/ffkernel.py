@@ -23,6 +23,10 @@ from .errors import InstanceTooLarge, ValidationError
 
 #: cap on the term count of a computed power, read at each call
 POWER_TERM_CAP = 10 ** 7
+#: cap on the outer-sum cells the squaring ladder may form for G^(p-1),
+#: counted from the term bounds before the first product (about 5 s of
+#: sorting on 2 cores), read at each call
+LADDER_CELL_CAP = 10 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +410,22 @@ def power_term_bound(G: PolynomialFp, n: int) -> int:
     return bound
 
 
+def _ladder_cells(G: PolynomialFp, n: int) -> int:
+    """An upper bound on the outer-sum cells _pow_keys forms for G^n: its
+    product of G^a and G^b forms at most power_term_bound(G, a) *
+    power_term_bound(G, b) cells."""
+    cells, out, k = 0, 0, 1
+    while n:
+        if n & 1:
+            cells += power_term_bound(G, out) * power_term_bound(G, k)
+            out += k
+        n >>= 1
+        if n:
+            cells += power_term_bound(G, k) ** 2
+            k *= 2
+    return cells
+
+
 def _check_term_bound(bound: int, n: int) -> None:
     if bound > POWER_TERM_CAP:
         raise InstanceTooLarge(
@@ -438,7 +458,10 @@ def digit_power(G: PolynomialFp, e: int) -> PolynomialFp:
     of G.  Every k_i < p, so each k_i! is a unit mod p.  This path forms
     C(p-2+t, t-1) rows for the t terms of G, so it is taken when that count
     equals power_term_bound(G, p-1), and never forms more rows than the cap
-    admits; otherwise G^(p-1) is powered by the ladder on keys.
+    admits; otherwise G^(p-1) is powered by the ladder on keys, whose
+    squarings form far more outer-sum cells than G^(p-1) has terms: a
+    ladder that may form more than LADDER_CELL_CAP cells is refused before
+    its first product.
 
     Caps: the partial products have term counts bounded both by the bound
     for G^(q-1) and by the e-th power of the bound for G^(p-1); the smaller
@@ -457,6 +480,12 @@ def digit_power(G: PolynomialFp, e: int) -> PolynomialFp:
     if n_monomials(len(G), p - 1) == base_bound:
         base_k, base_c = _multinomial_keys(keys, coeffs, p)
     else:
+        cells = _ladder_cells(G, p - 1)
+        if cells > LADDER_CELL_CAP:
+            raise InstanceTooLarge(
+                f"power too large: the squaring ladder for G^{p - 1} may "
+                f"form up to {cells} outer-sum cells, over the cap "
+                f"{LADDER_CELL_CAP}")
         base_k, base_c = _pow_keys(keys, coeffs, p - 1, p)
     keys, coeffs = base_k, base_c
     for i in range(1, e):

@@ -8,14 +8,21 @@ evaluates c at the vertices only.  The maximizers of c form a union of
 faces and the lexicographically smallest point of a face is a vertex, so
 the lex-first maximizing vertex, times the dilation r that clears the
 vertex denominators (times d-1 for degree-one generation), is the lex-first
-maximizing lattice point of rP.  Completeness of the fan, the vertices,
-volumes and alpha are exact rational arithmetic through one determinant
-routine; no floating point is used.
+maximizing lattice point of rP.
+
+Everything is exact integer arithmetic through one determinant routine, a
+fraction-free (Bareiss) elimination.  The vertices of P are the integer
+rows of N over one common denominator L > 0, so the Fano test, the lex
+order, the c-values and facet membership compare integers, and a simplex
+of vertices has determinant det(N_simplex) / L^d.  Fraction appears only in
+the values handed out: alpha, the volume, the bound and P.vertices.  No
+floating point is used.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -92,7 +99,7 @@ class FanData:
         inner = [sum(a) for a in zip(*(self.rays[i] for i in self.cones[0]))]
         for c, cone in enumerate(self.cones[1:], start=1):
             if all(t >= 0 for t in _cramer((self.rays[i] for i in cone),
-                                           inner)):
+                                           inner)[0]):
                 raise ValidationError(
                     f"fan fails the completeness check: {tuple(inner)}, "
                     f"inside cone 0, also lies in cone {c}")
@@ -104,11 +111,18 @@ class FanData:
 
 @dataclass(frozen=True)
 class RationalPolytope:
-    """The anticanonical polytope {u : <u, v_i> >= -1} with exact vertices,
-    one per maximal cone."""
+    """The anticanonical polytope {u : <u, v_i> >= -1}.  Its vertices, one
+    per maximal cone with repeats dropped, are the rows of N over the
+    common denominator L > 0, the lcm of their coordinates' denominators."""
 
     rays: tuple[tuple[int, ...], ...]
-    vertices: tuple[tuple[Fraction, ...], ...]
+    N: tuple[tuple[int, ...], ...]
+    L: int
+
+    @property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The vertices as exact rationals, the rows of N / L."""
+        return tuple(_fractions(row, self.L) for row in self.N)
 
 
 @dataclass(frozen=True)
@@ -122,41 +136,47 @@ class ToricAlphaReport:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q (dimensions are tiny: the lattice rank)
+# exact integer linear algebra (dimensions are tiny: the lattice rank)
 
-def _det(M: Sequence[Sequence]) -> Fraction:
-    """The determinant of a square matrix of integers or fractions, by
-    Gaussian elimination over Q."""
-    A = [[Fraction(a) for a in row] for row in M]
-    n = len(A)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
+def _det(M: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination.  After a step with pivot a, each entry of the
+    trailing block is a minor of M of the next order, so the division by
+    the previous pivot in the next step is exact (Sylvester's identity)."""
+    A = [list(row) for row in M]
+    sign, prev = 1, 1
+    while len(A) > 1:
+        piv = next((i for i, row in enumerate(A) if row[0]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col] != 0:
-                f = A[r][col] * inv
-                A[r] = [a - f * c for a, c in zip(A[r], A[col])]
-    return det
+            return 0
+        if piv:
+            A[0], A[piv] = A[piv], A[0]
+            sign = -sign
+        top, *rest = A
+        a = top[0]
+        A = [[(a * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+             for row in rest]
+        prev = a
+    return sign * A[0][0] if A else 1
 
 
-def _cramer(rows, b: Sequence) -> list[Fraction]:
-    """The coefficients x with sum_k x_k rows[k] = b, by Cramer's rule;
-    the rows must be linearly independent."""
+def _cramer(rows, b: Sequence[int]) -> tuple[list[int], int]:
+    """Integers x and D > 0 with sum_k x_k rows[k] = D b, by Cramer's rule:
+    the coefficients of b are x_k / D.  The rows must be linearly
+    independent."""
     rows = list(rows)
     det = _det(rows)
-    return [_det(rows[:k] + [b] + rows[k + 1:]) / det
-            for k in range(len(rows))]
+    sign = 1 if det > 0 else -1
+    return ([sign * _det(rows[:k] + [b] + rows[k + 1:])
+             for k in range(len(rows))], sign * det)
 
 
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _fractions(row: Sequence[int], L: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(a, L) for a in row)
 
 
 # ---------------------------------------------------------------------------
@@ -164,24 +184,25 @@ def _dot(u, v) -> Fraction:
 
 def polar_and_dilate(fan: FanData) -> tuple[RationalPolytope, int]:
     """Vertices of P = {u : <u, v_i> >= -1} (one per maximal cone) and the
-    dilation r = lcm(vertex denominators) * max(1, d-1)."""
+    dilation r = L * max(1, d-1) for their common denominator L."""
     # <u, v_i> = -1 for the rays v_i of a cone: u combines the columns of
-    # their matrix into the all -1 vector
-    unique = list(dict.fromkeys(
-        tuple(_cramer(zip(*(fan.rays[i] for i in cone)), [-1] * fan.d))
-        for cone in fan.cones))
-    for u in unique:
+    # their matrix into the all -1 vector.  Each u is keyed in lowest terms,
+    # (x, D) with gcd(D, x) = 1, so equal vertices are dropped
+    lowest: dict[tuple[tuple[int, ...], int], None] = {}
+    for cone in fan.cones:
+        x, D = _cramer(zip(*(fan.rays[i] for i in cone)), [-1] * fan.d)
+        g = math.gcd(D, *x)
+        lowest[tuple(a // g for a in x), D // g] = None
+    L = math.lcm(*(D for _, D in lowest))
+    N = tuple(tuple(a * (L // D) for a in x) for x, D in lowest)
+    for w in N:
         for k, ray in enumerate(fan.rays):
-            if _dot(u, ray) < -1:
+            if _dot(w, ray) < -L:
                 raise ValidationError(
-                    f"fan is not Fano: vertex {u} violates the constraint "
-                    f"of ray {k}")
-    L = 1
-    for u in unique:
-        for a in u:
-            L = L * a.denominator // math.gcd(L, a.denominator)
+                    f"fan is not Fano: vertex {_fractions(w, L)} violates "
+                    f"the constraint of ray {k}")
     r = L * max(1, fan.d - 1)
-    return RationalPolytope(rays=fan.rays, vertices=tuple(unique)), r
+    return RationalPolytope(rays=fan.rays, N=N, L=L), r
 
 
 def toric_alpha(fan: FanData) -> ToricAlphaReport:
@@ -189,18 +210,22 @@ def toric_alpha(fan: FanData) -> ToricAlphaReport:
     lex-first maximizing vertex and its first maximizing ray as witness,
     and the alpha <= 1/2 self-check."""
     P, r = polar_and_dilate(fan)
-    best = None  # (max_i c_i, vertex, ray index)
-    for w in sorted(P.vertices):
-        cs = [_dot(w, ray) + 1 for ray in fan.rays]
+    L = P.L
+    # L > 0, so the rows of N sort as the vertices N / L do, and
+    # L c_i(w) = <N_w, v_i> + L compares as c_i(w)
+    best = None  # (L max_i c_i, vertex row, ray index)
+    for w in sorted(P.N):
+        cs = [_dot(w, ray) + L for ray in fan.rays]
         c = max(cs)
         if c <= 0:
             raise InternalCheckError(
-                f"max_i c_i = {c} <= 0 at the vertex {w}")
+                f"max_i c_i = {Fraction(c, L)} <= 0 at the vertex "
+                f"{_fractions(w, L)}")
         if best is None or c > best[0]:
             best = (c, w, cs.index(c))
     c, w, ray = best
-    alpha = 1 / c
-    u = tuple(int(r * a) for a in w)
+    alpha = Fraction(L, c)
+    u = tuple(r // L * a for a in w)
     if alpha > Fraction(1, 2):
         raise InternalCheckError(
             f"alpha = {alpha} exceeds 1/2, impossible for a toric Fano "
@@ -223,34 +248,34 @@ def anticanonical_volume(fan: FanData,
     computed from the fan unless given.
 
     P is coned from the interior origin over its facets; each facet (the
-    tight locus of one ray) is triangulated recursively by pivoting on its
-    lexicographically smallest vertex, and each resulting simplex
-    contributes |det| of its vertex matrix.
+    tight locus of one ray, <N_w, v> = -L) is triangulated recursively by
+    pivoting on its lexicographically smallest vertex, and each resulting
+    simplex contributes |det N_simplex| / L^d.
     """
     if P is None:
         P, _ = polar_and_dilate(fan)
     d = fan.d
-    total = Fraction(0)
+    total = 0
     for ray in fan.rays:
-        face = [u for u in P.vertices if _dot(u, ray) == -1]
+        face = [w for w in P.N if _dot(w, ray) == -P.L]
         for simplex in _triangulate_face(P, face, d - 1):
             if len(simplex) != d:
                 continue  # lower-dimensional artifact, measure zero
             total += abs(_det(simplex))
-    return total
+    return Fraction(total, P.L ** d)
 
 
 def _triangulate_face(P: RationalPolytope, verts: list, dim: int):
-    """Vertex tuples of a simplicial decomposition of the face spanned by
-    `verts`.  Degenerate branches yield short or flat tuples, which the
-    caller discards (their determinants vanish)."""
+    """Vertex tuples (rows of N) of a simplicial decomposition of the face
+    spanned by `verts`.  Degenerate branches yield short or flat tuples,
+    which the caller discards (their determinants vanish)."""
     if len(verts) <= dim + 1 or dim == 0:
         return [tuple(verts)]
     apex = min(verts)
     out = []
     seen: set = set()
     for ray in P.rays:
-        sub = [u for u in verts if _dot(u, ray) == -1]
+        sub = [w for w in verts if _dot(w, ray) == -P.L]
         key = frozenset(sub)
         if (apex in sub or len(sub) == len(verts) or len(sub) < dim
                 or key in seen):

@@ -392,6 +392,31 @@ class TestBasePowerPath:
         assert digit_power(G, e).terms == expected
         assert taken == [path]
 
+    @pytest.mark.parametrize("p", [3, 5, 101, 1009])
+    def test_ladder_cells_bound_its_products(self, monkeypatch, p):
+        # the count that decides the ladder's refusal is an upper bound on
+        # the outer-sum cells its products form
+        G = PolynomialFp(PrimeField(p), 2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+        mul_keys, formed = ffkernel._mul_keys, []
+
+        def counted(ka, ca, kb, cb, p):
+            formed.append(ka.size * kb.size)
+            return mul_keys(ka, ca, kb, cb, p)
+        monkeypatch.setattr(ffkernel, "_mul_keys", counted)
+        digit_power(G, 1)
+        assert 0 < sum(formed) <= ffkernel._ladder_cells(G, p - 1) \
+            <= ffkernel.LADDER_CELL_CAP
+
+    def test_ladder_past_cell_cap_refused(self, monkeypatch):
+        # x^2 + xy + y^2 over F_10007 took 7.6 s on the ladder
+        G = PolynomialFp(PrimeField(10007), 2,
+                         {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+        assert ffkernel._ladder_cells(G, 10006) == 152806384
+        taken = self.paths(monkeypatch)
+        with pytest.raises(InstanceTooLarge, match="squaring ladder"):
+            digit_power(G, 1)
+        assert not taken
+
 
 def _naive_rank(A, p):
     A = A.astype(np.int64) % p

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import frobw.ffkernel as ffkernel
 import frobw.frontend as frontend
 import frobw.splitting as splitting
 from frobw.errors import ParseError
@@ -351,6 +352,23 @@ class TestExitCodes:
         assert self.run(["split", "--p", "1000003",
                          "--poly", "x0^2+x1^2+x2^2"]) == 3
         assert time.monotonic() - t0 < 5
+
+    def test_ladder_past_cell_cap_refused_first(self, monkeypatch, capsys):
+        # x^2 + xy + y^2 has more multi-indices than G^(p-1) has terms, so
+        # its base takes the squaring ladder, which over F_100003 may form
+        # about 1.5e10 outer-sum cells (it ran past 60 s)
+        def unpowered(*args):
+            raise AssertionError("the ladder was started")
+        monkeypatch.setattr(ffkernel, "_pow_keys", unpowered)
+        t0 = time.monotonic()
+        assert self.run(["membership", "--p", "100003", "--poly",
+                         "x^2+x*y+y^2", "--element", "x*y",
+                         "--vars", "x,y"]) == 3
+        assert time.monotonic() - t0 < 5
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: power too large: the "
+                              "squaring ladder for G^100002")
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ["membership", "--element", "x", "--e", "100000"],

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,9 +38,73 @@ def point_by_point_scan(fan, P, r):
     return best
 
 
+def cofactor_det(M):
+    """The determinant by cofactor expansion along the first row."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j]
+               * cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)))
+
+
+def product_fan(*factors):
+    """The product of fans given as (d, rays, cones): rays padded with
+    zeros into their factor's coordinates, cones the products of cones."""
+    d, rays, cones = 0, [], [()]
+    for fd, frays, fcones in factors:
+        offset = len(rays)
+        rays = ([ray + (0,) * fd for ray in rays]
+                + [(0,) * d + tuple(ray) for ray in frays])
+        cones = [cone + tuple(offset + i for i in fcone)
+                 for cone in cones for fcone in fcones]
+        d += fd
+    return FanData(d, rays, cones)
+
+
+def projective_space(d):
+    rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays.append((-1,) * d)
+    return d, rays, list(itertools.combinations(range(d + 1), d))
+
+
 @pytest.fixture(scope="module")
 def fans():
     return named_fans()
+
+
+class TestDet:
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_cofactor_expansion(self, n):
+        rng = random.Random(n)
+        for trial in range(60):
+            bound = 2 ** rng.choice((2, 20, 70))
+            M = [[rng.randint(-bound, bound) for _ in range(n)]
+                 for _ in range(n)]
+            if n and trial % 3 == 1:
+                M[0][0] = 0  # the first step must swap rows, or find none
+            if n >= 2 and trial % 3 == 2:
+                # the last row a combination of the others: singular
+                a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+                M[-1] = [a * x + b * y for x, y in zip(M[0], M[-2])]
+            det = toric._det(M)
+            assert type(det) is int
+            assert det == cofactor_det(M), M
+            if n >= 2 and trial % 3 == 2:
+                assert det == 0
+
+    @pytest.mark.parametrize("M,det", [
+        ([], 1),
+        ([[-7]], -7),
+        ([[0, 1], [1, 0]], -1),
+        # the second pivot vanishes after the first step: a swap mid-way
+        ([[1, 2, 3], [2, 4, 5], [3, 7, 1]], 1),
+        # a zero column below the diagonal
+        ([[2, 1, 1], [4, 2, 2], [6, 3, 5]], 0),
+        ([[0, 0, 1], [0, 2, 0], [3, 0, 0]], -6),
+        ([[2 ** 64, 1], [1, -(2 ** 64)]], -(2 ** 128) - 1),
+    ])
+    def test_pinned(self, M, det):
+        assert toric._det(M) == cofactor_det(M) == det
 
 
 class TestFanValidation:
@@ -176,6 +241,21 @@ class TestToricAlpha:
         r, alpha, u, ray, volume, bound = report
         assert rep == toric.ToricAlphaReport(
             r, Fraction(alpha), u, ray, Fraction(volume), Fraction(bound))
+
+    @pytest.mark.parametrize("factors,alpha,volume", [
+        ([projective_space(4)], Fraction(1, 5), 625),
+        ([projective_space(1)] * 4, Fraction(1, 2), 384),
+    ], ids=["P4", "P1^4"])
+    def test_four_dimensional(self, factors, alpha, volume):
+        # the oracle's box scan stops at d = 3, so these are the closed
+        # forms: vol(-K) = (d+1)^d for P^d and d! 2^d for (P1)^d
+        fan = product_fan(*factors)
+        assert fan.d == 4
+        rep = toric_alpha(fan)
+        assert (rep.alpha, rep.volume) == (alpha, volume)
+        assert rep.r == 3  # integral vertices, times d - 1
+        assert rep.witness_u == (-3, -3, -3, -3)
+        assert rep.bound == Fraction(volume, 2 ** 4 * math.factorial(5))
 
     def test_large_coordinates_are_exact(self, fans):
         # P2 sheared by [[1, N], [0, 1]]: a ray has entry -1-N and the
