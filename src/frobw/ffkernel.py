@@ -15,18 +15,16 @@ product monomial, and equal keys are merged by sorting.
 from __future__ import annotations
 
 import functools
+from heapq import heappop, heappush, heapreplace
 from math import comb, isqrt, prod
 
 import numpy as np
 
-from .errors import InstanceTooLarge, ValidationError
+from .errors import InstanceTooLarge, InternalCheckError, ValidationError
 
-#: cap on the term count of a computed power, read at each call
+#: cap on the term count of a computed power, and on the heap pushes of an
+#: exact division (_divide_keys), read at each call
 POWER_TERM_CAP = 10 ** 7
-#: cap on the outer-sum cells the squaring ladder may form for G^(p-1),
-#: counted from the term bounds before the first product (about 5 s of
-#: sorting on 2 cores), read at each call
-LADDER_CELL_CAP = 10 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +207,6 @@ class PolynomialFp:
 
     # -- arithmetic --------------------------------------------------------
 
-    def add(self, other: "PolynomialFp") -> "PolynomialFp":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return PolynomialFp(self.field, self.nvars, out)
-
     def mul(self, other: "PolynomialFp") -> "PolynomialFp":
         self._check_compatible(other)
         radix = [a + b + 1 for a, b in zip(self._max_exponents(),
@@ -223,19 +214,6 @@ class PolynomialFp:
         places = _place_values(radix)
         keys, coeffs = _mul_keys(*self._encode(places), *other._encode(places),
                                  self.field.p)
-        return self._decode(keys, coeffs, radix, places)
-
-    def pow(self, n: int) -> "PolynomialFp":
-        """Binary powering on encoded keys.  A power that could have more
-        than POWER_TERM_CAP terms is refused before the first product."""
-        if n < 0:
-            raise ValidationError("negative power")
-        _check_term_bound(power_term_bound(self, n), n)
-        # every intermediate power G^k, k <= n, has exponents at most n
-        # times those of G, so one radix serves the whole ladder
-        radix = [n * a + 1 for a in self._max_exponents()]
-        places = _place_values(radix)
-        keys, coeffs = _pow_keys(*self._encode(places), n, self.field.p)
         return self._decode(keys, coeffs, radix, places)
 
     def _max_exponents(self) -> list[int]:
@@ -331,18 +309,65 @@ def _merge_terms(keys: list[np.ndarray], coeffs: list[np.ndarray],
     return k[starts[keep]], sums[keep]
 
 
-def _pow_keys(keys: np.ndarray, coeffs: np.ndarray, n: int,
-              p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-th power of a (key, coefficient) polynomial by binary powering,
-    in a radix that holds the exponents of the n-th power."""
-    out_k, out_c = np.zeros(1, np.int64), np.ones(1, np.int64)
-    while n:
-        if n & 1:
-            out_k, out_c = _mul_keys(out_k, out_c, keys, coeffs, p)
-        n >>= 1
-        if n:
-            keys, coeffs = _mul_keys(keys, coeffs, keys, coeffs, p)
-    return out_k, out_c
+def _divide_keys(ka: np.ndarray, ca: np.ndarray, kg: np.ndarray,
+                 cg: np.ndarray, p: int, bound: int,
+                 radix: list[int]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The exact quotient A / G of two (key, coefficient) polynomials in the
+    mixed radix `radix`, as sorted keys with nonzero coefficients, or None
+    when G does not divide A.
+
+    Johnson's quotient heap (Monagan-Pearce, "Sparse polynomial division
+    using a heap", 2011), largest key first: the heap holds the next product
+    q_i g_j of each quotient term with the t terms g_1 > g_2 > ... of G, so
+    it makes about t pushes per quotient term.  It stops with None on a
+    negative quotient key or past `bound` quotient terms; t * bound past
+    POWER_TERM_CAP is refused before the first pop.  Keys order monomials
+    only while no digit carries, so the quotient Q is certified: Q's digits
+    plus G's largest digits stay below the radix, and G Q equals A on keys
+    (one _mul_keys); otherwise None.  When G divides A, nothing carries.
+    """
+    t = kg.size
+    if t * bound > POWER_TERM_CAP:
+        raise InstanceTooLarge(
+            f"division too large: {t} divisor terms times up to {bound} "
+            f"quotient terms is over the cap {POWER_TERM_CAP}")
+    order = np.argsort(ka)
+    ka, ca = ka[order], ca[order]
+    order = np.argsort(kg)[::-1]
+    g_keys, g_coeffs = kg[order].tolist(), cg[order].tolist()
+    lead, inv_lead = g_keys[0], pow(g_coeffs[0], p - 2, p)
+    todo = list(zip(ka.tolist(), ca.tolist()))  # popped largest first
+    q_keys, q_coeffs = [], []
+    heap: list[tuple[int, int, int]] = []  # (-key of q_i g_j, i, j)
+    while todo or heap:
+        m = max(todo[-1][0] if todo else -1, -heap[0][0] if heap else -1)
+        c = todo.pop()[1] if todo and todo[-1][0] == m else 0
+        while heap and heap[0][0] == -m:
+            _, i, j = heap[0]
+            c -= q_coeffs[i] * g_coeffs[j]
+            if j + 1 < t:
+                heapreplace(heap, (-(q_keys[i] + g_keys[j + 1]), i, j + 1))
+            else:
+                heappop(heap)
+        c %= p
+        if c == 0:
+            continue
+        key = m - lead
+        if key < 0 or len(q_keys) == bound:
+            return None
+        q_keys.append(key)
+        q_coeffs.append(c * inv_lead % p)
+        if t > 1:
+            heappush(heap, (-(key + g_keys[1]), len(q_keys) - 1, 1))
+    qk = np.array(q_keys[::-1], dtype=np.int64)
+    qc = np.array(q_coeffs[::-1], dtype=np.int64)
+    places, base = _place_values(radix), np.array(radix, dtype=np.int64)
+    room = base - 1 - (kg[:, None] // places % base).max(axis=0)
+    if (qk[:, None] // places % base > room).any():
+        return None
+    k, c = _mul_keys(qk, qc, kg, cg, p)
+    certified = np.array_equal(k, ka) and np.array_equal(c, ca)
+    return (qk, qc) if certified else None
 
 
 def _cumprod_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -410,29 +435,6 @@ def power_term_bound(G: PolynomialFp, n: int) -> int:
     return bound
 
 
-def _ladder_cells(G: PolynomialFp, n: int) -> int:
-    """An upper bound on the outer-sum cells _pow_keys forms for G^n: its
-    product of G^a and G^b forms at most power_term_bound(G, a) *
-    power_term_bound(G, b) cells."""
-    cells, out, k = 0, 0, 1
-    while n:
-        if n & 1:
-            cells += power_term_bound(G, out) * power_term_bound(G, k)
-            out += k
-        n >>= 1
-        if n:
-            cells += power_term_bound(G, k) ** 2
-            k *= 2
-    return cells
-
-
-def _check_term_bound(bound: int, n: int) -> None:
-    if bound > POWER_TERM_CAP:
-        raise InstanceTooLarge(
-            f"power too large: G^{n} may have up to {bound} terms, over the "
-            f"cap {POWER_TERM_CAP}")
-
-
 def level_q(p: int, e: int) -> int:
     """q = p^e for a level e >= 1, refused when q >= 2^63; e >= 63 is
     tested first, so that no big integer is formed for a huge e."""
@@ -448,20 +450,19 @@ def digit_power(G: PolynomialFp, e: int) -> PolynomialFp:
 
     Digits: q - 1 = sum_{i<e} (p-1) p^i and Frob^i(h) = h^(p^i) on
     prime-field coefficients give G^(q-1) = prod_{i<e} Frob^i(G^(p-1)).  All
-    keys share the radix (q-1) max_i + 1 in coordinate i, where max_i is
-    G's largest exponent of x_i; it holds the exponents of every partial
-    product G^(p^k - 1), k <= e, without a carry.  Keys are linear in the
-    exponents, so Frob^i multiplies every key by p^i.
+    keys share the radix max(q-1, p) max_i + 1 in coordinate i, where max_i
+    is G's largest exponent of x_i; it holds the exponents of every partial
+    product G^(p^k - 1), k <= e, and of G^p, without a carry.  Keys are
+    linear in the exponents, so Frob^i multiplies every key by p^i.
 
     Base: by the multinomial theorem, G^(p-1) = sum over |k| = p - 1 of
     (p-1)!/prod k_i! * prod c_i^k_i * x^(sum k_i w_i), for the terms c_i x^w_i
     of G.  Every k_i < p, so each k_i! is a unit mod p.  This path forms
     C(p-2+t, t-1) rows for the t terms of G, so it is taken when that count
     equals power_term_bound(G, p-1), and never forms more rows than the cap
-    admits; otherwise G^(p-1) is powered by the ladder on keys, whose
-    squarings form far more outer-sum cells than G^(p-1) has terms: a
-    ladder that may form more than LADDER_CELL_CAP cells is refused before
-    its first product.
+    admits.  Otherwise G^(p-1) = G(x^p) / G, as Frobenius fixes the
+    coefficients: one exact division (_divide_keys) with the quotient bound
+    power_term_bound(G, p-1); a failed certificate is an InternalCheckError.
 
     Caps: the partial products have term counts bounded both by the bound
     for G^(q-1) and by the e-th power of the bound for G^(p-1); the smaller
@@ -473,21 +474,24 @@ def digit_power(G: PolynomialFp, e: int) -> PolynomialFp:
     p = G.field.p
     q = level_q(p, e)
     base_bound = power_term_bound(G, p - 1)
-    _check_term_bound(min(base_bound ** e, power_term_bound(G, q - 1)), q - 1)
-    radix = [(q - 1) * a + 1 for a in G._max_exponents()]
+    bound = min(base_bound ** e, power_term_bound(G, q - 1))
+    if bound > POWER_TERM_CAP:
+        raise InstanceTooLarge(
+            f"power too large: G^{q - 1} may have up to {bound} terms, over "
+            f"the cap {POWER_TERM_CAP}")
+    radix = [max(q - 1, p) * a + 1 for a in G._max_exponents()]
     places = _place_values(radix)
     keys, coeffs = G._encode(places)
     if n_monomials(len(G), p - 1) == base_bound:
-        base_k, base_c = _multinomial_keys(keys, coeffs, p)
+        base = _multinomial_keys(keys, coeffs, p)
     else:
-        cells = _ladder_cells(G, p - 1)
-        if cells > LADDER_CELL_CAP:
-            raise InstanceTooLarge(
-                f"power too large: the squaring ladder for G^{p - 1} may "
-                f"form up to {cells} outer-sum cells, over the cap "
-                f"{LADDER_CELL_CAP}")
-        base_k, base_c = _pow_keys(keys, coeffs, p - 1, p)
-    keys, coeffs = base_k, base_c
+        base = _divide_keys(keys * p, coeffs, keys, coeffs, p, base_bound,
+                            radix)
+        if base is None:
+            raise InternalCheckError(
+                f"G(x^{p}) / G fails its certificate: no exact quotient "
+                f"G^{p - 1} within {base_bound} terms")
+    keys, coeffs = base_k, base_c = base
     for i in range(1, e):
         keys, coeffs = _mul_keys(keys, coeffs, base_k * p ** i, base_c, p)
     return G._decode(keys, coeffs, radix, places)

@@ -21,6 +21,7 @@ falsifying datum or the exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -352,7 +353,9 @@ def _join_signed_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once: parsing leaves it unchanged."""
     parser = _Parser(prog="frobw", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)

@@ -75,7 +75,9 @@ from .ffkernel import (
     PolynomialFp,
     PrimeField,
     _batch_dtype,
+    _divide_keys,
     _dtype_for,
+    _place_values,
     digit_power,
     exponent_array,
     kernel_fp_batched,
@@ -1060,7 +1062,9 @@ def membership_check(ring: GradedHypersurface, e: int,
     multiplied: a monomial r with every exponent below q is u + w only for
     u <= r and w <= r, so its coefficient in f * G^(q-1) is the same.
 
-    Elements of (G) are vacuous members and are flagged.
+    Elements of (G) are vacuous members and are flagged: f lies in (G)
+    when G divides f exactly (_divide_keys).  A quotient has degree
+    deg f - delta and exponents of x_i up to those of f less those of G.
     """
     q = level_q(ring.field.p, e)
     if f.field != ring.field or f.nvars != ring.v:
@@ -1076,29 +1080,15 @@ def membership_check(ring: GradedHypersurface, e: int,
         ring.field, ring.v, level.W.astype(np.int64),
         level.cw.astype(np.int64))).arrays
     member = not (exps < q).all(axis=1).any()
-    return MembershipResult(member, _reduce_mod_G(ring, f).is_zero())
-
-
-def _reduce_mod_G(ring: GradedHypersurface, f: PolynomialFp) -> PolynomialFp:
-    """Remainder of f under division by G with respect to graded colex.
-
-    A single polynomial generates its principal ideal as a Groebner basis,
-    so the remainder vanishes exactly when f is in (G).
-    """
-    lt, ltc = ring.G.leading_term()
-    inv_ltc = ring.field.inv(ltc)
-    rem = f
-    while True:
-        divisible = [exps for exps in rem.terms
-                     if all(a >= b for a, b in zip(exps, lt))]
-        if not divisible:
-            return rem
-        exps = max(divisible, key=lambda t: (sum(t), tuple(reversed(t))))
-        c = rem.terms[exps]
-        shift = tuple(a - b for a, b in zip(exps, lt))
-        factor = PolynomialFp(ring.field, ring.v,
-                              {shift: (-c * inv_ltc) % ring.field.p})
-        rem = rem.add(factor.mul(ring.G))
+    f_max = f._max_exponents()
+    room = [a - b for a, b in zip(f_max, ring.G._max_exponents())]
+    radix = [a + 1 for a in f_max]
+    places = _place_values(radix)
+    in_G = min(room) >= 0 and _divide_keys(
+        *f._encode(places), *ring.G._encode(places), ring.field.p,
+        n_monomials_capped(ring.v, f.homogeneous_degree - ring.delta,
+                           max(room)), radix) is not None
+    return MembershipResult(member, in_G)
 
 
 @dataclass

@@ -73,6 +73,7 @@ class FanData:
             if j != k:
                 raise ValidationError(f"ray {k} repeats ray {j} = {ray}")
         walls: dict[tuple[int, ...], list[bool]] = {}
+        self.dets: list[int] = []  # of each cone's rays
         for c, cone in enumerate(self.cones):
             if len(set(cone)) != self.d:
                 raise ValidationError(
@@ -84,6 +85,7 @@ class FanData:
                 raise ValidationError(
                     f"non-simplicial or degenerate cone: cone {c} has "
                     f"linearly dependent rays")
+            self.dets.append(det)
             for k in range(self.d):
                 # the side of ray cone[k] is the sign of det(wall rays, ray
                 # cone[k]); moving row k last takes d-1-k transpositions
@@ -98,8 +100,8 @@ class FanData:
                     f"its positive side")
         inner = [sum(a) for a in zip(*(self.rays[i] for i in self.cones[0]))]
         for c, cone in enumerate(self.cones[1:], start=1):
-            if all(t >= 0 for t in _cramer((self.rays[i] for i in cone),
-                                           inner)[0]):
+            if all(t >= 0 for t in _cramer([self.rays[i] for i in cone],
+                                           self.dets[c], inner)[0]):
                 raise ValidationError(
                     f"fan fails the completeness check: {tuple(inner)}, "
                     f"inside cone 0, also lies in cone {c}")
@@ -160,12 +162,10 @@ def _det(M: Sequence[Sequence[int]]) -> int:
     return sign * A[0][0] if A else 1
 
 
-def _cramer(rows, b: Sequence[int]) -> tuple[list[int], int]:
+def _cramer(rows: list, det: int, b: Sequence[int]) -> tuple[list[int], int]:
     """Integers x and D > 0 with sum_k x_k rows[k] = D b, by Cramer's rule:
-    the coefficients of b are x_k / D.  The rows must be linearly
-    independent."""
-    rows = list(rows)
-    det = _det(rows)
+    the coefficients of b are x_k / D.  det is the determinant of the rows,
+    nonzero."""
     sign = 1 if det > 0 else -1
     return ([sign * _det(rows[:k] + [b] + rows[k + 1:])
              for k in range(len(rows))], sign * det)
@@ -189,8 +189,10 @@ def polar_and_dilate(fan: FanData) -> tuple[RationalPolytope, int]:
     # their matrix into the all -1 vector.  Each u is keyed in lowest terms,
     # (x, D) with gcd(D, x) = 1, so equal vertices are dropped
     lowest: dict[tuple[tuple[int, ...], int], None] = {}
-    for cone in fan.cones:
-        x, D = _cramer(zip(*(fan.rays[i] for i in cone)), [-1] * fan.d)
+    # the matrix is a cone's rays transposed, so its determinant is known
+    for cone, det in zip(fan.cones, fan.dets):
+        x, D = _cramer(list(zip(*(fan.rays[i] for i in cone))), det,
+                       [-1] * fan.d)
         g = math.gcd(D, *x)
         lowest[tuple(a // g for a in x), D // g] = None
     L = math.lcm(*(D for _, D in lowest))

@@ -2,6 +2,7 @@
 polynomials, and the dense rank/kernel engine."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frobw.ffkernel as ffkernel
-from frobw.errors import InstanceTooLarge, ValidationError
+from frobw.errors import (InstanceTooLarge, InternalCheckError,
+                          ValidationError)
 from frobw.ffkernel import (
     PolynomialFp,
     PrimeField,
@@ -145,13 +147,18 @@ class TestPolynomialFp:
         g = PolynomialFp(F, 2, {(1, 1): 1, (2, 0): 5})
         h = PolynomialFp(F, 2, {(0, 2): 4})
         assert f.mul(g) == g.mul(f)
-        assert f.mul(g.add(h)) == f.mul(g).add(f.mul(h))
+        # g and h have disjoint supports, so g + h is the union of terms
+        fg_fh = dict(f.mul(g).terms)
+        for u, c in f.mul(h).terms.items():
+            fg_fh[u] = (fg_fh.get(u, 0) + c) % 7
+        assert f.mul(PolynomialFp(F, 2, {**g.terms, **h.terms})) \
+            == PolynomialFp(F, 2, fg_fh)
 
     def test_pow_binomial(self):
         F = PrimeField(3)
         f = PolynomialFp(F, 2, {(1, 0): 1, (0, 1): 1})
         # (x+y)^3 = x^3 + y^3 over F_3
-        assert f.pow(3).terms == {(3, 0): 1, (0, 3): 1}
+        assert f.mul(digit_power(f, 1)).terms == {(3, 0): 1, (0, 3): 1}
 
 
 class TestDigitPower:
@@ -159,7 +166,8 @@ class TestDigitPower:
     def test_matches_direct_power_diagonal_cubic(self, p, e):
         F = PrimeField(p)
         G = PolynomialFp(F, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 2})
-        assert digit_power(G, e) == G.pow(p ** e - 1)
+        assert digit_power(G, e).terms == _naive_power(G.terms, p ** e - 1,
+                                                       G.nvars, p)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 30))
@@ -176,7 +184,8 @@ class TestDigitPower:
         G = PolynomialFp(F, nvars, terms)
         if G.is_zero():
             return
-        assert digit_power(G, e) == G.pow(p ** e - 1)
+        assert digit_power(G, e).terms == _naive_power(G.terms, p ** e - 1,
+                                                       G.nvars, p)
 
 
 def _naive_power(terms, n, nvars, p):
@@ -216,11 +225,16 @@ class TestMultiplyAgainstOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_pow(self, data):
-        p = data.draw(_PRIMES)
-        nvars = data.draw(st.integers(1, 5))
-        f = data.draw(_polynomials(p, nvars, max_terms=4, max_exp=2))
-        n = data.draw(st.integers(0, 6))
-        assert f.pow(n).terms == _naive_power(f.terms, n, nvars, p)
+        # homogeneous G: digit_power divides G(x^p) by G wherever the
+        # multi-indices outnumber the terms of G^(p-1)
+        p = data.draw(st.sampled_from([3, 5, 7, 11]))
+        nvars = data.draw(st.integers(1, 3))
+        delta = data.draw(st.integers(1, 3))
+        mons = [tuple(u) for u in exponent_array(nvars, delta).tolist()]
+        G = PolynomialFp(PrimeField(p), nvars, data.draw(st.dictionaries(
+            st.sampled_from(mons), st.integers(1, p - 1), min_size=1)))
+        assert digit_power(G, 1).terms == _naive_power(G.terms, p - 1,
+                                                       nvars, p)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -239,7 +253,7 @@ class TestMultiplyAgainstOracle:
         f = PolynomialFp(F, 2, {(1, 0): 1, (0, 1): 3})
         g = PolynomialFp(F, 2, {(1, 0): 1, (0, 1): -3})
         assert f.mul(g).terms == {(2, 0): 1, (0, 2): 5}
-        assert f.pow(7).terms == {(7, 0): 1, (0, 7): 3}
+        assert f.mul(digit_power(f, 1)).terms == {(7, 0): 1, (0, 7): 3}
         assert f.mul(PolynomialFp(F, 2, {})).is_zero()
 
     def test_largest_prime_coefficients(self):
@@ -255,18 +269,18 @@ class TestMultiplyAgainstOracle:
         F = PrimeField(5)
         x = PolynomialFp(F, 1, {(2 ** 61,): 1})
         assert x.mul(x).terms == {(2 ** 62,): 1}
-        assert x.pow(2).terms == {(2 ** 62,): 1}
         y = PolynomialFp(F, 1, {(2 ** 62 - 1,): 1})
         with pytest.raises(InstanceTooLarge, match="63 bits"):
             PolynomialFp(F, 1, {(2 ** 62,): 1}).mul(y)
         with pytest.raises(InstanceTooLarge, match="63 bits"):
-            x.pow(4)
+            digit_power(x, 1)  # x^4 over F_5, radix 5 * 2^61 + 1
         a = 2 ** 20 - 1
         cube = PolynomialFp(F, 3, {(a, a, a): 1})
         # radix 2a + 1 per coordinate, (2^21 - 1)^3 < 2^63
-        assert cube.mul(cube).terms == {(2 * a, 2 * a, 2 * a): 1}
+        square = cube.mul(cube)
+        assert square.terms == {(2 * a, 2 * a, 2 * a): 1}
         with pytest.raises(InstanceTooLarge, match="63 bits"):
-            cube.pow(3)
+            square.mul(cube)
 
 
 class TestPowerBound:
@@ -286,27 +300,17 @@ class TestPowerBound:
 
     def test_bound_is_exact_on_the_diagonal_conic(self):
         G = self.conic(101)
-        for n in (1, 2, 7, 50, 100):
+        for n in (1, 2, 7, 50):
             assert power_term_bound(G, n) == n_monomials(3, n) \
-                == len(G.pow(n))
+                == len(_naive_power(G.terms, n, 3, 101))
+        assert power_term_bound(G, 100) == n_monomials(3, 100) \
+            == len(digit_power(G, 1))
 
     def test_inhomogeneous_bound(self):
         F = PrimeField(5)
         f = PolynomialFp(F, 2, {(1, 0): 1, (0, 0): 1})
         assert power_term_bound(f, 4) == 5
         assert power_term_bound(PolynomialFp(F, 2, {}), 3) == 0
-
-    def test_pow_boundary(self, monkeypatch):
-        G = self.conic(101)
-        calls = self.spy(monkeypatch)
-        monkeypatch.setattr(ffkernel, "POWER_TERM_CAP", 66)
-        assert len(G.pow(10)) == 66
-        assert calls
-        calls.clear()
-        monkeypatch.setattr(ffkernel, "POWER_TERM_CAP", 77)
-        with pytest.raises(InstanceTooLarge, match="up to 78 terms"):
-            G.pow(11)
-        assert not calls
 
     def test_digit_power_boundary(self, monkeypatch):
         # G^(p^e - 1) at p=3, e=2: the bound for G^8 is 45, the square of
@@ -345,32 +349,41 @@ class TestPowerBound:
     def test_multinomial_base_makes_no_product(self, monkeypatch):
         # the conic's G^100 over F_101: 5151 multi-indices, 5151 terms
         G = self.conic(101)
-        expected = G.pow(100)
+        expected = _naive_power(G.terms, 100, 3, 101)
         calls = self.spy(monkeypatch)
-        assert digit_power(G, 1) == expected
+        assert digit_power(G, 1).terms == expected
         assert not calls
 
 
 class TestBasePowerPath:
     """digit_power forms G^(p-1) by the multinomial theorem when its
     C(p-2+t, t-1) multi-indices are no more than power_term_bound(G, p-1),
-    and by the ladder otherwise; both sides agree with the naive power and
-    with G.pow."""
+    and as the exact quotient G(x^p) / G otherwise; both agree with the
+    naive power."""
 
     def paths(self, monkeypatch):
         taken = []
-        for name in ("_multinomial_keys", "_pow_keys"):
+        for name in ("_multinomial_keys", "_divide_keys"):
             def spied(*args, _name=name, _fn=getattr(ffkernel, name)):
                 taken.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(ffkernel, name, spied)
         return taken
 
+    def heap_ops(self, monkeypatch):
+        ops = []
+        for name in ("heappush", "heappop", "heapreplace"):
+            def spied(*args, _name=name, _fn=getattr(ffkernel, name)):
+                ops.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(ffkernel, name, spied)
+        return ops
+
     @pytest.mark.parametrize("p,e,terms,path", [
         # x^2 + xy + y^2: C(p+1, 2) multi-indices, 2p - 1 monomials
-        (3, 1, {(2, 0): 1, (1, 1): 1, (0, 2): 1}, "_pow_keys"),
-        (5, 2, {(2, 0): 1, (1, 1): 1, (0, 2): 1}, "_pow_keys"),
-        (7, 1, {(2, 0): 1, (1, 1): 4, (0, 2): 2}, "_pow_keys"),
+        (3, 1, {(2, 0): 1, (1, 1): 1, (0, 2): 1}, "_divide_keys"),
+        (5, 2, {(2, 0): 1, (1, 1): 1, (0, 2): 1}, "_divide_keys"),
+        (7, 1, {(2, 0): 1, (1, 1): 4, (0, 2): 2}, "_divide_keys"),
         (5, 1, {(2, 0, 0): 1, (0, 2, 0): 3, (0, 0, 2): 4},
          "_multinomial_keys"),
         (3, 2, {(2, 0, 0): 2, (0, 2, 0): 1, (0, 0, 2): 1},
@@ -385,37 +398,71 @@ class TestBasePowerPath:
     def test_both_paths_match_naive_power(self, monkeypatch, p, e, terms,
                                           path):
         G = PolynomialFp(PrimeField(p), len(next(iter(terms))), terms)
-        q = p ** e
-        expected = _naive_power(G.terms, q - 1, G.nvars, p)
-        assert G.pow(q - 1).terms == expected
+        expected = _naive_power(G.terms, p ** e - 1, G.nvars, p)
         taken = self.paths(monkeypatch)
         assert digit_power(G, e).terms == expected
         assert taken == [path]
 
-    @pytest.mark.parametrize("p", [3, 5, 101, 1009])
-    def test_ladder_cells_bound_its_products(self, monkeypatch, p):
-        # the count that decides the ladder's refusal is an upper bound on
-        # the outer-sum cells its products form
-        G = PolynomialFp(PrimeField(p), 2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
-        mul_keys, formed = ffkernel._mul_keys, []
+    @pytest.mark.parametrize("p,terms", [
+        (10007, {(2, 0): 1, (1, 1): 1, (0, 2): 1}),
+        (100003, {(2, 0): 1, (1, 1): 1, (0, 2): 1}),
+        (101, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): 5}),
+    ], ids=["conic-F10007", "conic-F100003", "hesse-F101"])
+    def test_division_answers_past_the_old_ladder_cap(self, p, terms):
+        # each was refused by the squaring ladder's cell cap.  The power
+        # is homogeneous of degree delta (p-1), monic in the last variable
+        # as G is, and times G gives G^p = G(x^p)
+        G = PolynomialFp(PrimeField(p), len(next(iter(terms))), terms)
+        t0 = time.monotonic()
+        power = digit_power(G, 1)
+        assert time.monotonic() - t0 < 5
+        delta = G.homogeneous_degree
+        assert len(power) <= power_term_bound(G, p - 1)
+        assert power.homogeneous_degree == delta * (p - 1)
+        top = (0,) * (G.nvars - 1) + (delta * (p - 1),)
+        assert power.terms[top] == 1
+        assert power.mul(G) == PolynomialFp(G.field, G.nvars, {
+            tuple(p * a for a in u): c for u, c in G.terms.items()})
 
-        def counted(ka, ca, kb, cb, p):
-            formed.append(ka.size * kb.size)
-            return mul_keys(ka, ca, kb, cb, p)
-        monkeypatch.setattr(ffkernel, "_mul_keys", counted)
-        digit_power(G, 1)
-        assert 0 < sum(formed) <= ffkernel._ladder_cells(G, p - 1) \
-            <= ffkernel.LADDER_CELL_CAP
-
-    def test_ladder_past_cell_cap_refused(self, monkeypatch):
-        # x^2 + xy + y^2 over F_10007 took 7.6 s on the ladder
-        G = PolynomialFp(PrimeField(10007), 2,
+    def test_corrupt_quotient_fails_its_certificate(self, monkeypatch):
+        # one quotient coefficient changed before G Q is checked against
+        # G(x^p): digit_power raises instead of returning a wrong power
+        G = PolynomialFp(PrimeField(31), 2,
                          {(2, 0): 1, (1, 1): 1, (0, 2): 1})
-        assert ffkernel._ladder_cells(G, 10006) == 152806384
-        taken = self.paths(monkeypatch)
-        with pytest.raises(InstanceTooLarge, match="squaring ladder"):
+        mul_keys = ffkernel._mul_keys
+
+        def corrupted(ka, ca, kb, cb, p):
+            quotient = ca if ca.size > cb.size else cb
+            quotient[3] = (quotient[3] + 1) % p
+            return mul_keys(ka, ca, kb, cb, p)
+        monkeypatch.setattr(ffkernel, "_mul_keys", corrupted)
+        with pytest.raises(InternalCheckError, match="certificate"):
             digit_power(G, 1)
-        assert not taken
+
+    def test_division_stops_past_its_bound(self, monkeypatch):
+        # G^30 of x^2 + xy + y^2 over F_31 has 41 terms: a quotient bound
+        # of 40 stops the division, after at most 3 * 40 heap pushes
+        G = PolynomialFp(PrimeField(31), 2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+        radix = [31 * 2 + 1] * 2
+        keys, coeffs = G._encode(ffkernel._place_values(radix))
+        ops = self.heap_ops(monkeypatch)
+        assert ffkernel._divide_keys(keys * 31, coeffs, keys, coeffs, 31, 40,
+                                     radix) is None
+        assert 0 < ops.count("heappush") + ops.count("heapreplace") <= 120
+        qk, qc = ffkernel._divide_keys(keys * 31, coeffs, keys, coeffs, 31,
+                                       41, radix)
+        assert qk.size == 41
+
+    def test_push_bound_refused_before_the_heap(self, monkeypatch):
+        # the Hesse cubic over F_1009: 4 terms times the bound
+        # C(3026, 2) = 4576825 on G^1008 passes POWER_TERM_CAP
+        G = PolynomialFp(PrimeField(1009), 3, {
+            (3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): 5})
+        assert 4 * power_term_bound(G, 1008) > ffkernel.POWER_TERM_CAP
+        ops = self.heap_ops(monkeypatch)
+        with pytest.raises(InstanceTooLarge, match="division too large"):
+            digit_power(G, 1)
+        assert not ops
 
 
 def _naive_rank(A, p):

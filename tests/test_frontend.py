@@ -1,6 +1,7 @@
 """Parser, serialization, and CLI tests."""
 
 import io
+import itertools
 import json
 import os
 import random
@@ -13,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-import frobw.ffkernel as ffkernel
 import frobw.frontend as frontend
 import frobw.splitting as splitting
 from frobw.errors import ParseError
@@ -353,22 +353,18 @@ class TestExitCodes:
                          "--poly", "x0^2+x1^2+x2^2"]) == 3
         assert time.monotonic() - t0 < 5
 
-    def test_ladder_past_cell_cap_refused_first(self, monkeypatch, capsys):
+    def test_conic_past_the_old_ladder_cap_answered(self):
         # x^2 + xy + y^2 has more multi-indices than G^(p-1) has terms, so
-        # its base takes the squaring ladder, which over F_100003 may form
-        # about 1.5e10 outer-sum cells (it ran past 60 s)
-        def unpowered(*args):
-            raise AssertionError("the ladder was started")
-        monkeypatch.setattr(ffkernel, "_pow_keys", unpowered)
+        # its base is the exact division G(x^p) / G; the squaring ladder
+        # refused it over F_100003 (about 1.5e10 outer-sum cells)
+        buf = io.StringIO()
         t0 = time.monotonic()
-        assert self.run(["membership", "--p", "100003", "--poly",
-                         "x^2+x*y+y^2", "--element", "x*y",
-                         "--vars", "x,y"]) == 3
+        assert run_cli(["membership", "--p", "100003", "--poly",
+                        "x^2+x*y+y^2", "--element", "x*y",
+                        "--vars", "x,y"], buf) == 0
         assert time.monotonic() - t0 < 5
-        err = capsys.readouterr().err
-        assert err.startswith("validation error: power too large: the "
-                              "squaring ladder for G^100002")
-        assert len(err.strip().splitlines()) == 1
+        res = json.loads(buf.getvalue())["results"][0]
+        assert res == {"member": True, "in_principal_ideal": False}
 
     @pytest.mark.parametrize("argv", [
         ["membership", "--element", "x", "--e", "100000"],
@@ -524,6 +520,21 @@ def _golden_text(argv) -> str:
 def test_golden_report(name, monkeypatch):
     monkeypatch.chdir(DATA)
     assert _golden_text(GOLDEN[name]).encode() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("first,second", itertools.permutations(
+    ["split_cubic_p5_e1-2.csv", "toric_P2.json", "membership_cubic_p11.json"],
+    2))
+def test_parser_kept_between_requests(first, second, monkeypatch):
+    # run_cli builds its parser once per process; a second request with
+    # another subcommand answers as it does with a freshly built parser
+    monkeypatch.chdir(DATA)
+    fresh = []
+    for name in (first, second):
+        frontend.build_parser.cache_clear()
+        fresh.append(_golden_text(GOLDEN[name]))
+    assert [_golden_text(GOLDEN[name]) for name in (first, second)] == fresh
+    assert frontend.build_parser() is frontend.build_parser()
 
 
 class TestReportObject:

@@ -16,7 +16,8 @@ import frobw.splitting as splitting
 from frobw.errors import InstanceTooLarge, InternalCheckError, ValidationError
 from frobw.ffkernel import PolynomialFp, PrimeField, exponent_array
 from frobw.frozen_values import FROZEN
-from frobw.oracle import _naive_multiply, naive_b_dimension
+from frobw.oracle import (_naive_monomials, _naive_multiply,
+                          _naive_row_reduce_rank, naive_b_dimension)
 from frobw.splitting import (
     GradedHypersurface,
     b_dimension,
@@ -64,10 +65,23 @@ def f_split_cubic():
     return GradedHypersurface(F, ("x0", "x1", "x2", "x3"), G)
 
 
-def elliptic_cone(p):
+def elliptic_cone(p, lam=0):
+    """The member x^3 + y^3 + z^3 + lam xyz of the Hesse pencil."""
     F = PrimeField(p)
-    G = PolynomialFp(F, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+    G = PolynomialFp(F, 3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1,
+                            (1, 1, 1): lam})
     return GradedHypersurface(F, ("x", "y", "z"), G)
+
+
+def hesse_points(p, lam):
+    """#E(F_p) for the plane cubic x^3 + y^3 + z^3 + lam xyz, counted on
+    its affine cone in F_p^3: the cone holds 1 + (p - 1) #E points."""
+    x = np.arange(p, dtype=np.int64)
+    cube = x ** 3 % p
+    xy = np.outer(x, x) % p
+    values = (cube[:, None, None] + cube[None, :, None] + cube[None, None, :]
+              + lam * xy[:, :, None] * x[None, None, :]) % p
+    return (int(np.count_nonzero(values == 0)) - 1) // (p - 1)
 
 
 class TestGradedHypersurface:
@@ -1221,6 +1235,95 @@ class TestFedderAndMembership:
                 assert res.member and res.in_principal_ideal
             seen[member] += 1
         assert seen[True] and seen[False]
+
+    @pytest.mark.parametrize("p", [7, 13, 31, 101])
+    def test_hesse_pencil_matches_point_counts(self, p):
+        # a smooth plane cubic over F_p, p >= 5, is F-split (Fedder) iff
+        # it is ordinary iff #E(F_p) != 1 mod p (Silverman, V.4.1); every
+        # smooth member (lam^3 != -27) below 101, ten seeded lam != 0 at
+        # 101, where the squaring ladder refused all but lam = 0
+        smooth = [lam for lam in range(p) if (lam ** 3 + 27) % p]
+        if p > 31:
+            smooth = random.Random(p).sample(smooth[1:], 10)
+        for lam in smooth:
+            split = hesse_points(p, lam) % p != 1
+            assert fedder_is_fsplit(elliptic_cone(p, lam), 1) == split, lam
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_principal_ideal_matches_row_span(self, data):
+        # f lies in (G) iff its coefficients lie in the row span of the
+        # multiples x^a G, |a| = deg f - delta, ranked by the oracle
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        v = data.draw(st.integers(1, 3))
+        delta = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(0, 3))
+        F = PrimeField(p)
+
+        def form(deg):
+            return data.draw(st.dictionaries(
+                st.sampled_from(_naive_monomials(v, deg)),
+                st.integers(1, p - 1), min_size=1))
+        G = PolynomialFp(F, v, form(delta))
+        f = PolynomialFp(F, v, form(k)).mul(G)
+        if data.draw(st.booleans()):  # one stray monomial
+            stray = data.draw(st.sampled_from(_naive_monomials(v, k + delta)))
+            f = PolynomialFp(F, v, {**f.terms, stray: f.terms.get(stray, 0)
+                                    + data.draw(st.integers(1, p - 1))})
+        if f.is_zero():
+            return
+        cols = {u: i for i, u in enumerate(_naive_monomials(v, k + delta))}
+        rows = []
+        for a in _naive_monomials(v, k):
+            row = [0] * len(cols)
+            for u, c in _naive_multiply({a: 1}, G.terms, p).items():
+                row[cols[u]] = c
+            rows.append(row)
+        target = [0] * len(cols)
+        for u, c in f.terms.items():
+            target[cols[u]] = c
+        span = np.array(rows, dtype=np.int64)
+        in_span = (_naive_row_reduce_rank(span, p)
+                   == _naive_row_reduce_rank(np.vstack([span, [target]]), p))
+        ring = GradedHypersurface(F, [f"x{i}" for i in range(v)], G)
+        assert membership_check(ring, 1, f).in_principal_ideal == in_span
+
+    def test_carry_is_not_a_quotient(self):
+        # (x0^3 x1^3 + x1^6) / (x0 x1) in the radix (4, 7) of f's exponents:
+        # the candidate quotient x0^2 x1^2 + x0^3 x1^4 times G carries
+        # x0^4 x1^5 into the key of x1^6, so G Q equals f on keys.  The
+        # digit check refuses it; x1^6 alone shows f is not in (G)
+        F = PrimeField(3)
+        ring = GradedHypersurface(F, ("x0", "x1"),
+                                  PolynomialFp(F, 2, {(1, 1): 1}))
+        for terms, in_G in (({(3, 3): 1, (0, 6): 1}, False),
+                            ({(3, 3): 1, (1, 5): 1}, True)):
+            f = PolynomialFp(F, 2, terms)
+            assert membership_check(ring, 1, f).in_principal_ideal is in_G
+
+    def test_exponents_short_of_G_not_divided(self, cubic_p5, monkeypatch):
+        # a multiple of G has every exponent at least G's, so x0^300 is not
+        # in (G) without a division, whose quotient bound C(300, 3) times
+        # the 4 terms of G would pass POWER_TERM_CAP
+        def undivided(*args):
+            raise AssertionError("f was divided by G")
+        monkeypatch.setattr(splitting, "_divide_keys", undivided)
+        f = PolynomialFp(cubic_p5.field, 4, {(300, 0, 0, 0): 1})
+        assert not membership_check(cubic_p5, 1, f).in_principal_ideal
+
+    def test_dense_element_divided_fast(self, cubic_p5):
+        # the sum of all 5456 monomials of degree 30 takes its answer from
+        # one division (the remainder loop took 33 s).  It is not in (G):
+        # it is 1 at (1, -1, 0, 0), a zero of G.  Times G it is
+        F = cubic_p5.field
+        dense = PolynomialFp(F, 4, {u: 1 for u in _naive_monomials(4, 30)})
+        assert sum((-1) ** u[1] for u in dense.terms
+                   if u[2] == u[3] == 0) % 5 == 1
+        for f, in_G in ((dense, False), (dense.mul(cubic_p5.G), True)):
+            t0 = time.monotonic()
+            assert membership_check(cubic_p5, 1, f).in_principal_ideal \
+                is in_G
+            assert time.monotonic() - t0 < 1
 
     def test_large_prime_member_answered_fast(self):
         # G^(p-1) of x^2 + y^2 over F_100003 has 100003 terms, within the

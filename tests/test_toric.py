@@ -242,6 +242,28 @@ class TestToricAlpha:
         assert rep == toric.ToricAlphaReport(
             r, Fraction(alpha), u, ray, Fraction(volume), Fraction(bound))
 
+    @pytest.mark.parametrize("name,total", [
+        ("P1", 7), ("P2", 16), ("P1xP1", 22), ("P112", 16), ("P3", 29),
+        ("P1xP1xP1", 65), ("P1xP2", 47)])
+    def test_cone_determinants_computed_once(self, fans, name, total,
+                                             monkeypatch):
+        # each cone's ray determinant is computed once, by the fan check,
+        # and handed on: the check takes c of them and d Cramer numerators
+        # for each of its c - 1 inner-point tests, the vertices d numerators
+        # per cone, and the volume one per simplex (80 calls, not 65, for
+        # P1xP1xP1 when each Cramer solve took its own determinant)
+        fan, calls, det = fans[name], [], toric._det
+
+        def counted(M):
+            calls.append(1)
+            return det(M)
+        monkeypatch.setattr(toric, "_det", counted)
+        fan = FanData(fan.d, fan.rays, fan.cones)
+        c = len(fan.cones)
+        assert len(calls) == c + (c - 1) * fan.d
+        toric_alpha(fan)
+        assert len(calls) == total
+
     @pytest.mark.parametrize("factors,alpha,volume", [
         ([projective_space(4)], Fraction(1, 5), 625),
         ([projective_space(1)] * 4, Fraction(1, 2), 384),
