@@ -45,12 +45,6 @@ class PrimeField:
             d += 1
         self.p = p
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -514,7 +508,9 @@ def digit_power(G: PolynomialFp, e: int) -> PolynomialFp:
 # _BASE products of residues to an entry that entered reduced, so it reduces
 # only what it divides by or reads as a multiplier, and the rest once at its
 # end.  Whole-array reductions use a multiply/floor with an off-by-one fixup
-# instead of the slow generic '%'.  Widening _BASE does not pay: criterion 5
+# (_mod_inplace) instead of the slow generic '%': here, in the batched
+# engine's stack and kernel basis, and in splitting's sketch accumulation
+# and kernel check.  Widening _BASE does not pay: criterion 5
 # took 43.2 s at 16, 42.6 s at 32, 45.0 s at 64 and 56.4 s at 128 (one run
 # each, 2 cores, before the delayed reduction).
 
@@ -538,7 +534,13 @@ def _dtype_for(p: int):
 
 
 def _mod_inplace(A: np.ndarray, p: int) -> np.ndarray:
-    """In-place reduction mod p of an array of exact integers."""
+    """In-place reduction mod p of an array of exact integers A with
+    p - 1 - cap <= A <= cap, for cap the exact range of A's dtype (_EXACT).
+
+    As in FFLAS-FFPACK: floor(A * fl(1/p)) is the quotient of A by p or one
+    off either way, its multiple of p stays in the exact range, so the
+    difference is exact, and one fixup each way corrects the quotient.  A
+    zero comes out as +0.0, as from '%'."""
     q = A * A.dtype.type(1.0 / p)
     np.floor(q, out=q)
     q *= A.dtype.type(p)
@@ -663,14 +665,23 @@ def rank_fp_dense(A: np.ndarray, p: int) -> int:
     return len(_eliminate(A, p)[1])
 
 
+def _free_columns(n: int, piv: np.ndarray) -> np.ndarray:
+    """The columns 0..n-1 that are not pivot columns, in increasing order."""
+    free = np.ones(n, dtype=bool)
+    free[piv] = False
+    return np.flatnonzero(free)
+
+
 def _kernel_basis(n: int, piv: np.ndarray, free: np.ndarray, X: np.ndarray,
                   p: int) -> np.ndarray:
     """The kernel basis of an n-column matrix whose reduced echelon form has
     pivot columns piv and the entries X (pivot rows x free columns) at its
     free columns: the vector of free column f is 1 at f, 0 at the other free
-    columns and minus column f of X at the pivot columns."""
+    columns and minus column f of X at the pivot columns.  X holds exact
+    integers in [p - 1 - cap, p), reduced by the dense engine and not by the
+    batched one, so -X is in _mod_inplace's range."""
     K = np.zeros((n, free.size), dtype=X.dtype)
-    K[piv] = np.remainder(-X, p)
+    K[piv] = _mod_inplace(-X, p)
     K[free, np.arange(free.size)] = 1
     return K
 
@@ -684,7 +695,7 @@ def kernel_fp_dense(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     n = A.shape[1]
     W, piv_cols, exact_cap = _eliminate(A, p)
     piv = np.array(piv_cols, dtype=np.intp)
-    free = np.setdiff1d(np.arange(n), piv, assume_unique=True)
+    free = _free_columns(n, piv)
     # the first r rows hold the echelon form U, except that entries at pivot
     # columns below their own pivot store multipliers, which the solve does
     # not read.  U[:, piv] X = U[:, free] is unit upper triangular; with its
@@ -703,10 +714,10 @@ def kernel_fp_dense(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
 # vectorized step per column eliminates that column in every matrix at once.
 # Entries are exact integers in a float dtype.  Each step reduces the pivot
 # column and the pivot row mod p and subtracts multiples below p of the
-# pivot row, so every other entry grows by at most (p-1)^2 per step; the
-# whole stack is reduced only when the next step could leave the exact
-# range.  The pivot column and row are reduced through an integer type,
-# where '%' is fast.
+# pivot row, so every other entry falls from [0, p) by at most (p-1)^2 per
+# step; the whole stack is reduced (_mod_inplace, whose range this stays
+# in) only when the next step could leave the exact range.  The pivot
+# column and row are reduced through an integer type, where '%' is fast.
 
 #: float32 is used while it allows this many steps between reductions
 _BATCH_F32_STEPS = 64
@@ -747,7 +758,10 @@ def kernel_fp_batched(mats: list[np.ndarray],
     integer matrices, eliminated together in one zero-padded stack.
 
     Returns one (rank, K) per matrix, as kernel_fp_dense does.  The cost is
-    one vectorized step per column of the widest matrix.
+    one vectorized step per column of the widest matrix.  A matrix in an
+    integer dtype, or in another float dtype than the stack's, is reduced
+    in its own; one in the stack's dtype is copied as it is and reduced
+    with the stack (_mod_inplace), so its entries must lie in that range.
     """
     dtype, itype, steps = _batch_dtype(p)
     # widest first, so that the matrices a step still has to eliminate are
@@ -760,9 +774,16 @@ def kernel_fp_batched(mats: list[np.ndarray],
     # stored transposed, T[b, c] is column c of matrix b, so that the
     # trailing columns a step updates are one contiguous slab per matrix
     T = np.zeros((B, C, R), dtype=dtype)
+    raw = False
     for k, b in enumerate(order):
         A = mats[b]
-        T[k, :A.shape[1], :A.shape[0]] = np.remainder(A.T, p)
+        if A.dtype == dtype:
+            T[k, :A.shape[1], :A.shape[0]] = A.T
+            raw = True
+        else:
+            T[k, :A.shape[1], :A.shape[0]] = A.T % p
+    if raw:
+        _mod_inplace(T, p)
     unused = np.ones((B, R), dtype=bool)
     rank = np.zeros(B, dtype=np.int64)
     piv_cols = np.zeros((B, min(R, C)), dtype=np.int64)
@@ -798,14 +819,14 @@ def kernel_fp_batched(mats: list[np.ndarray],
         rank[b] += 1
         left -= 1
         if left == 0:
-            np.remainder(T, p, out=T)
+            _mod_inplace(T, p)
             left = steps
     out = [None] * B
     for k, b in enumerate(order):
         n = mats[b].shape[1]
         r = int(rank[k])
         pc, pr = piv_cols[k, :r], piv_rows[k, :r]
-        free = np.setdiff1d(np.arange(n), pc)
+        free = _free_columns(n, pc)
         # T[k] holds the reduced echelon form transposed
         out[b] = (r, _kernel_basis(n, pc, free, T[k][free][:, pr].T, p))
     return out

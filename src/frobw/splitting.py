@@ -50,10 +50,10 @@ columns are eliminated together, one vectorized step per column of the
 widest (kernel_fp_batched); wider blocks go one at a time through the
 BLAS-blocked engine (rank_fp_dense, kernel_fp_dense).  A profile hands the
 blocks of every degree of its level to one _certify call, which takes them
-widest first, so that each batch holds blocks of similar width from many
-degrees; a batch is ranked once its zero-padded stack (blocks x widest x
-tallest) plus the nonzeros it holds for kernel checks pass _BATCH_CELLS, so
-one batch is pending at a time.
+widest first by the width their engine steps through, so that each batch
+holds blocks of similar width from many degrees; a batch is ranked once its
+zero-padded stack (blocks x widest x tallest) plus the nonzeros it holds
+for kernel checks pass _BATCH_CELLS, so one batch is pending at a time.
 
 Every degree of a level reads one _Level, built once per ring and level.
 """
@@ -77,6 +77,7 @@ from .ffkernel import (
     _batch_dtype,
     _divide_keys,
     _dtype_for,
+    _mod_inplace,
     _place_values,
     digit_power,
     exponent_array,
@@ -281,28 +282,42 @@ def _symmetries(G: PolynomialFp, lattice) -> list[tuple[int, ...]]:
 def _class_labels(ring: GradedHypersurface, X: np.ndarray) -> np.ndarray:
     """Label each row of X by its class modulo L; labels number the classes
     in the lexicographic order of their canonical representatives."""
-    R = X.astype(np.int64)
+    # one contiguous row per coordinate
+    R = np.ascontiguousarray(X.T, dtype=np.int64)
     for c, row in ring._lattice:
-        R -= (R[:, c] // row[c])[:, None] * row
+        R -= row[:, None] * (R[c] // row[c])
     # mixed-radix codes, most significant coordinate first, compressed to
     # dense ranks whenever the next digit could overflow int64
-    labels = np.zeros(R.shape[0], dtype=np.int64)
+    labels = np.zeros(R.shape[1], dtype=np.int64)
     size = 1
-    for col in R.T:
+    for col in R:
         if col.size == 0:
             break
         lo = int(col.min())
         span = int(col.max()) - lo + 1
         if size * span >= 2 ** 62:
-            size, labels = _dense_ranks(labels)
+            size, labels = _dense_ranks(labels, size)
         labels = labels * span + (col - lo)
         size *= span
-    return _dense_ranks(labels)[1]
+    return _dense_ranks(labels, size)[1]
 
 
-def _dense_ranks(codes: np.ndarray) -> tuple[int, np.ndarray]:
-    distinct, ranks = np.unique(codes, return_inverse=True)
-    return distinct.size, ranks.reshape(-1)
+#: codes spanning at most this many values per code are ranked by a table
+_RANK_TABLE_SPAN = 2
+
+
+def _dense_ranks(codes: np.ndarray, span: int) -> tuple[int, np.ndarray]:
+    """The number of distinct codes in [0, span) and the rank of each code
+    among them, as np.unique(codes, return_inverse=True) gives them.  A
+    small span is ranked by a presence table and its running count, in
+    linear time; a large one by np.unique's sort."""
+    if span > _RANK_TABLE_SPAN * codes.size:
+        distinct, ranks = np.unique(codes, return_inverse=True)
+        return distinct.size, ranks.reshape(-1)
+    seen = np.zeros(span, dtype=bool)
+    seen[codes] = True
+    ranks = np.cumsum(seen, dtype=np.intp)
+    return int(ranks[-1]), ranks[codes] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +594,8 @@ def _build_block(level: _Level, m: int, U: np.ndarray) -> _Block:
             c = live[s:s + step]
             bits = np.unpackbits(acc[c].view(np.uint8), axis=1,
                                  count=W.shape[0], bitorder="little")
-            j, t = np.nonzero(bits)
+            # the row-major order of the hits is the (j, t) order
+            j, t = np.divmod(np.flatnonzero(bits.view(bool)), W.shape[0])
             idx = au.take(c.take(j) + j0, axis=1)
             idx += aw.take(t, axis=1)
             r = R.take(idx).sum(axis=0)
@@ -702,10 +718,12 @@ def _certify(level: _Level, layouts: list[tuple[int, _Layout]]
     """For each (m, layout of Phi_{e,m}), the sum of the certified ranks of
     the ranked blocks, each counted its layout weight times.
 
-    The ranked blocks of all the degrees are planned before any is built:
-    widest counted shape first, so that the blocks of one batch have
-    similar widths.  Each is built just before its engine call or just
-    before it joins the one pending batch.  A block is sketched when its
+    The ranked blocks of all the degrees are planned before any is built,
+    widest first by the width that the engine sees, from the counted shape:
+    the column count of a block that is _sketched, min(rows, cols) of one
+    densified tall; so the blocks of one batch have similar widths.  Each
+    is built just before its engine call or just before it joins the one
+    pending batch.  A block is sketched when its
     counted shape is _sketched and its built block has more than ncols +
     _SPARE nonzero rows; otherwise it is eliminated exactly.  The block's
     nonzero columns pick the engine: at most _BATCH_COLS go to
@@ -726,7 +744,8 @@ def _certify(level: _Level, layouts: list[tuple[int, _Layout]]
                    for shape, idx, w in zip(layout.shapes, layout.columns,
                                             layout.weights)
                    if w and shape[0] and shape[1]),
-                  key=lambda block: -block[2][1])
+                  key=lambda block: -(block[2][1] if _sketched(*block[2])
+                                      else min(block[2])))
     queue, held, widest, tallest = [], 0, 0, 0
 
     def settle(m, w, rank, K, true) -> None:
@@ -803,8 +822,9 @@ def _sketch(level: _Level, m: int, blk: _Block) -> np.ndarray:
     it to one of ncols + _SPARE buckets with a nonzero coefficient.
     Deterministic in (block, e, m).  The entries are accumulated in chunks
     of _SKETCH_ENTRIES, each into the columns it spans, and reduced mod p
-    there; every partial sum is an integer below p times the entry count
-    plus p, exact in float64, so the chunking leaves S unchanged.  S is
+    there by _mod_inplace; every partial sum is a non-negative integer below
+    p times the entry count plus p, exact in float64 and in _mod_inplace's
+    range, so the chunking and the reduction leave S unchanged.  S is
     built in the dtype of the engine that ranks it (see _certify), which
     holds its residues exactly, so the engine need not copy it."""
     p = level.p
@@ -831,7 +851,7 @@ def _sketch(level: _Level, m: int, blk: _Block) -> np.ndarray:
             buckets[rows] * (hi - lo) + (cols - lo), weights=vals,
             minlength=r * (hi - lo)).reshape(r, hi - lo)
         part += S[:, lo:hi]
-        S[:, lo:hi] = np.remainder(part, p, out=part)
+        S[:, lo:hi] = _mod_inplace(part, p)
     return S
 
 
@@ -851,7 +871,9 @@ def _kernel_verifies(blk: _Block, K: np.ndarray, p: int) -> bool:
     longest * (p-1)^2 for the longest row's nonzero count.  Each float
     dtype of _EXACT holds every integer up to its cap: the chunks run in the
     first one whose cap holds that bound, and past float64's cap the check
-    is refused before any work."""
+    is refused before any work.  The products, non-negative and at most
+    that cap, are in _mod_inplace's range, which decides whether they
+    vanish mod p."""
     nrows, ncols = blk.shape
     longest = int(np.bincount(blk.rows, minlength=1).max())
     bound = longest * (p - 1) ** 2
@@ -873,7 +895,7 @@ def _kernel_verifies(blk: _Block, K: np.ndarray, p: int) -> bool:
         r0 = c * step
         D = np.zeros((min(step, nrows - r0), ncols), dtype=dtype)
         D[blk.rows[t] - r0, blk.cols[t]] = blk.vals[t]
-        if np.fmod(D @ K, p).any():
+        if _mod_inplace(D @ K, p).any():
             return False
     return True
 

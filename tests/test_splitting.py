@@ -728,6 +728,35 @@ class TestLayout:
                 assert np.array_equal(a, b)
 
 
+class TestDenseRanks:
+    # codes in [0, span) are ranked by a presence table when the span is
+    # at most twice their count, by np.unique's sort otherwise
+    @pytest.mark.parametrize("count", [0, 1, 2, 57, 4096])
+    @pytest.mark.parametrize("span", ["half", "once", "twice", "past-twice",
+                                      "thousandfold"])
+    def test_matches_unique(self, count, span, monkeypatch):
+        # the span as a multiple of the count; twice is the boundary
+        span = max(1, {"half": count // 2, "once": count, "twice": 2 * count,
+                       "past-twice": 2 * count + 1,
+                       "thousandfold": 1000 * count}[span])
+        npr = np.random.RandomState(count + span)
+        codes = npr.randint(0, span, count).astype(np.int64)
+        if count > 1:  # both ends of the span
+            codes[:2] = 0, span - 1
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique",
+                            lambda *args, **kw: sorts.append(1)
+                            or unique(*args, **kw))
+        got = splitting._dense_ranks(codes, span)
+        monkeypatch.undo()
+        assert bool(sorts) == (span > 2 * count)
+        distinct, ranks = np.unique(codes, return_inverse=True)
+        assert got[0] == distinct.size
+        assert got[1].dtype == ranks.dtype
+        assert np.array_equal(got[1], ranks)
+
+
 class TestSymmetryOrbits:
     """Only the first block of each orbit of the symmetries of G is ranked;
     the sum over the blocks must equal the unreduced one at every degree."""
